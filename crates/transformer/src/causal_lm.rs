@@ -83,12 +83,11 @@ impl CausalLM {
         }
         let tables: Vec<_> = chunks
             .iter()
-            .map(|c| self.kvm.table(c.seq).expect("just appended").clone())
+            .map(|c| self.kvm.table(c.seq).expect("just appended"))
             .collect();
-        let table_refs: Vec<&_> = tables.iter().collect();
         let mut hidden = self.stages[0].embed(chunks);
         for stage in self.stages.iter_mut() {
-            stage.forward(chunks, &table_refs, &mut hidden);
+            stage.forward(chunks, &tables, &mut hidden);
         }
         Ok(self.stages.last().expect("nonempty").project(chunks, &hidden))
     }

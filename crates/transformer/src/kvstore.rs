@@ -18,9 +18,12 @@ impl PagedKvStore {
     /// Storage for `num_layers` layers × `num_slots` token slots of
     /// `kv_dim`-wide keys and values.
     pub fn new(num_layers: usize, num_slots: usize, kv_dim: usize) -> Self {
+        // A fresh zeroed allocation per buffer leaves untouched slots
+        // unmapped; cloning one zeroed buffer would write every page.
+        let buffers = || (0..num_layers).map(|_| vec![0.0; num_slots * kv_dim]).collect();
         Self {
-            keys: vec![vec![0.0; num_slots * kv_dim]; num_layers],
-            values: vec![vec![0.0; num_slots * kv_dim]; num_layers],
+            keys: buffers(),
+            values: buffers(),
             kv_dim,
             num_slots,
         }
@@ -47,16 +50,15 @@ impl PagedKvStore {
         self.values[layer][at..at + self.kv_dim].copy_from_slice(value);
     }
 
-    /// Read one token's key.
-    pub fn key(&self, layer: usize, slot: usize) -> &[f32] {
-        let at = slot * self.kv_dim;
-        &self.keys[layer][at..at + self.kv_dim]
+    /// All of `layer`'s keys, `[num_slots × kv_dim]`: slot `s` is
+    /// `[s·kv_dim, (s+1)·kv_dim)`.
+    pub fn keys(&self, layer: usize) -> &[f32] {
+        &self.keys[layer]
     }
 
-    /// Read one token's value.
-    pub fn value(&self, layer: usize, slot: usize) -> &[f32] {
-        let at = slot * self.kv_dim;
-        &self.values[layer][at..at + self.kv_dim]
+    /// All of `layer`'s values, laid out as [`Self::keys`].
+    pub fn values(&self, layer: usize) -> &[f32] {
+        &self.values[layer]
     }
 }
 
@@ -71,11 +73,11 @@ mod tests {
         let v = vec![5.0, 6.0, 7.0, 8.0];
         s.write(1, 6, &k, &v);
         s.write(1, 0, &v, &k);
-        assert_eq!(s.key(1, 6), &k[..]);
-        assert_eq!(s.value(1, 6), &v[..]);
-        assert_eq!(s.key(1, 0), &v[..]);
+        assert_eq!(&s.keys(1)[24..28], &k[..]);
+        assert_eq!(&s.values(1)[24..28], &v[..]);
+        assert_eq!(&s.keys(1)[0..4], &v[..]);
         // Other layers untouched.
-        assert_eq!(s.key(0, 6), &[0.0; 4][..]);
+        assert_eq!(&s.keys(0)[24..28], &[0.0; 4][..]);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   master seed, so a 4-stage pipeline instantiates the *same model* as a
 //!   single stage, and pipelined execution must reproduce single-process
 //!   outputs exactly.
-//! * **Parallelism** — rayon parallelises across the sequences of a batch
-//!   (the axis real engines batch over), per the HPC guide's
-//!   "par_iter over the data" idiom.
+//! * **Speed without reordering** — weights are packed into 8-row panels
+//!   and a micro-batch's tokens run through each matrix together, so many
+//!   independent accumulations proceed side by side while every output
+//!   element sums in the same fixed order as a plain row-by-row `matvec`
+//!   (see [`kernels`]). The golden test pins the resulting bits.
 
 pub mod causal_lm;
 pub mod kernels;

@@ -7,18 +7,21 @@
 //! the driver's unified page tables.
 //!
 //! `forward` processes a micro-batch of [`BatchChunk`]s (prefill chunks
-//! and/or decode steps). Within a layer, computation is parallelised with
-//! rayon **across chunks** — each sequence's arithmetic is self-contained
-//! with a fixed accumulation order, so batching and parallelism cannot
+//! and/or decode steps) layer by layer. The new tokens of every chunk are
+//! stacked into one matrix, so each projection and MLP matrix runs as one
+//! [`Packed::matmul`] over the whole micro-batch; attention stays per
+//! sequence. What depends only on positions — each chunk's page-table
+//! slots and each token's RoPE angles — is resolved once per call and
+//! reused by every layer and head. Every output element keeps its own
+//! fixed accumulation order, so batching, chunking and partitioning cannot
 //! change results.
 
 use std::ops::Range;
 
 use gllm_kvcache::PageTable;
 use gllm_model::ModelConfig;
-use rayon::prelude::*;
 
-use crate::kernels::{add_assign, matvec, rmsnorm, rope, silu, softmax};
+use crate::kernels::{add_assign, rmsnorm, rope, rope_angles, silu, softmax, Packed};
 use crate::kvstore::PagedKvStore;
 use crate::weights::{
     gen_embedding, gen_final_norm, gen_layer, gen_lm_head, LayerWeights,
@@ -40,6 +43,13 @@ pub struct BatchChunk {
     pub sample: bool,
 }
 
+impl BatchChunk {
+    /// Positions of the chunk's new tokens.
+    fn positions(&self) -> Range<usize> {
+        self.start_pos..self.start_pos + self.tokens.len()
+    }
+}
+
 /// A contiguous range of decoder layers plus optional ends of the model.
 pub struct StageModel {
     cfg: ModelConfig,
@@ -47,7 +57,7 @@ pub struct StageModel {
     layers: Vec<LayerWeights>,
     embedding: Option<Vec<f32>>,
     final_norm: Option<Vec<f32>>,
-    lm_head: Option<Vec<f32>>,
+    lm_head: Option<Packed>,
     kv: PagedKvStore,
 }
 
@@ -93,7 +103,7 @@ impl StageModel {
         let table = self.embedding.as_ref().expect("embed on a non-first stage");
         let h = self.cfg.hidden_size;
         chunks
-            .par_iter()
+            .iter()
             .map(|c| {
                 let mut rows = Vec::with_capacity(c.tokens.len() * h);
                 for &tok in &c.tokens {
@@ -112,42 +122,94 @@ impl StageModel {
     pub fn forward(&mut self, chunks: &[BatchChunk], tables: &[&PageTable], hidden: &mut [Vec<f32>]) {
         assert_eq!(chunks.len(), tables.len());
         assert_eq!(chunks.len(), hidden.len());
-        let cfg = self.cfg.clone();
-        for local in 0..self.layers.len() {
-            // Phase 1 (parallel): project new tokens to Q/K/V and apply RoPE.
-            let layer = &self.layers[local];
-            let qkv: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = chunks
-                .par_iter()
-                .zip(hidden.par_iter())
-                .map(|(c, hrows)| project_qkv(&cfg, layer, c, hrows))
-                .collect();
+        let cfg = &self.cfg;
+        let (h, qd, kvd, hd) = (cfg.hidden_size, cfg.q_dim(), cfg.kv_dim(), cfg.head_dim);
+        let n: usize = chunks.iter().map(|c| c.tokens.len()).sum();
 
-            // Phase 2 (sequential): write new K/V into the paged store.
-            for (ci, c) in chunks.iter().enumerate() {
-                let (_, k, v) = &qkv[ci];
-                for (ti, _) in c.tokens.iter().enumerate() {
-                    let slot = tables[ci].slot_of(c.start_pos + ti);
-                    let at = ti * cfg.kv_dim();
-                    self.kv.write(
-                        local,
-                        slot,
-                        &k[at..at + cfg.kv_dim()],
-                        &v[at..at + cfg.kv_dim()],
-                    );
+        // Stack the micro-batch into one `n × hidden` matrix.
+        let mut x = Vec::with_capacity(n * h);
+        for (c, rows) in chunks.iter().zip(hidden.iter()) {
+            assert_eq!(rows.len(), c.tokens.len() * h, "hidden rows do not match seq {}", c.seq);
+            x.extend_from_slice(rows);
+        }
+
+        // Resolved once for every layer and head: each chunk's slots for
+        // positions `0..start_pos + len`, and each token's RoPE angles.
+        let slots: Vec<Vec<usize>> = chunks
+            .iter()
+            .zip(tables)
+            .map(|(c, t)| (0..c.positions().end).map(|p| t.slot_of(p)).collect())
+            .collect();
+        let mut angles = vec![(0.0, 0.0); n * hd / 2];
+        let positions = chunks.iter().flat_map(BatchChunk::positions);
+        for (row, pos) in angles.chunks_exact_mut(hd / 2).zip(positions) {
+            rope_angles(pos, row);
+        }
+
+        // Scratch for the whole call.
+        let max_ctx = chunks.iter().map(|c| c.positions().end).max().unwrap_or(0);
+        let mut scratch = AttnScratch {
+            keys_t: vec![0.0; kvd * max_ctx],
+            scores: vec![0.0; cfg.num_heads * max_ctx],
+        };
+        let mut normed = vec![0.0f32; n * h];
+        let mut proj = vec![0.0f32; n * h];
+        let mut q = vec![0.0f32; n * qd];
+        let mut attn = vec![0.0f32; n * qd];
+        let mut k = vec![0.0f32; n * kvd];
+        let mut v = vec![0.0f32; n * kvd];
+        let mut gate = vec![0.0f32; n * cfg.intermediate_size];
+        let mut up = vec![0.0f32; n * cfg.intermediate_size];
+
+        for (local, layer) in self.layers.iter().enumerate() {
+            // Project every new token to Q/K/V and rotate Q and K.
+            normed.copy_from_slice(&x);
+            norm_rows(&mut normed, &layer.attn_norm);
+            layer.wq.matmul(&normed, &mut q, n);
+            layer.wk.matmul(&normed, &mut k, n);
+            layer.wv.matmul(&normed, &mut v, n);
+            let rows = q.chunks_exact_mut(qd).zip(k.chunks_exact_mut(kvd));
+            for ((qrow, krow), row_angles) in rows.zip(angles.chunks_exact(hd / 2)) {
+                for head in qrow.chunks_exact_mut(hd).chain(krow.chunks_exact_mut(hd)) {
+                    rope(head, row_angles);
                 }
             }
 
-            // Phase 3 (parallel): attention + output projection + MLP.
-            let kv = &self.kv;
-            let layer = &self.layers[local];
-            chunks
-                .par_iter()
-                .zip(tables.par_iter())
-                .zip(hidden.par_iter_mut())
-                .enumerate()
-                .for_each(|(ci, ((c, table), hrows))| {
-                    attend_and_mlp(&cfg, layer, kv, local, c, table, &qkv[ci].0, hrows);
-                });
+            // Write the new K/V into the paged store, then attend: each
+            // token sees positions `0..=pos` of its own sequence.
+            let new_slots = chunks.iter().zip(&slots).flat_map(|(c, s)| &s[c.start_pos..]);
+            let new_kv = k.chunks_exact(kvd).zip(v.chunks_exact(kvd));
+            for (&slot, (key, value)) in new_slots.zip(new_kv) {
+                self.kv.write(local, slot, key, value);
+            }
+            let layer_kv = (self.kv.keys(local), self.kv.values(local));
+            let (mut q_rest, mut out_rest) = (&q[..], &mut attn[..]);
+            for (c, seq_slots) in chunks.iter().zip(&slots) {
+                let (qc, q_tail) = q_rest.split_at(c.tokens.len() * qd);
+                let (out, out_tail) = out_rest.split_at_mut(c.tokens.len() * qd);
+                attend(cfg, layer_kv, seq_slots, c.start_pos, qc, out, &mut scratch);
+                (q_rest, out_rest) = (q_tail, out_tail);
+            }
+            layer.wo.matmul(&attn, &mut proj, n);
+            add_assign(&mut x, &proj);
+
+            // SwiGLU MLP with pre-norm and residual.
+            normed.copy_from_slice(&x);
+            norm_rows(&mut normed, &layer.mlp_norm);
+            layer.w_gate.matmul(&normed, &mut gate, n);
+            layer.w_up.matmul(&normed, &mut up, n);
+            for (g, u) in gate.iter_mut().zip(up.iter()) {
+                *g = silu(*g) * u;
+            }
+            layer.w_down.matmul(&gate, &mut proj, n);
+            add_assign(&mut x, &proj);
+        }
+
+        let mut rest = &x[..];
+        for rows in hidden.iter_mut() {
+            let (mine, tail) = rest.split_at(rows.len());
+            rows.copy_from_slice(mine);
+            rest = tail;
         }
     }
 
@@ -157,121 +219,97 @@ impl StageModel {
         let norm = self.final_norm.as_ref().expect("project on a non-last stage");
         let head = self.lm_head.as_ref().expect("project on a non-last stage");
         let h = self.cfg.hidden_size;
-        let v = self.cfg.vocab_size;
-        chunks
-            .par_iter()
-            .zip(hidden.par_iter())
+        let sampled: Vec<(u64, &[f32])> = chunks
+            .iter()
+            .zip(hidden.iter())
             .filter(|(c, _)| c.sample)
-            .map(|(c, hrows)| {
-                let last = &hrows[(c.tokens.len() - 1) * h..c.tokens.len() * h];
-                let mut x = last.to_vec();
-                rmsnorm(&mut x, norm, NORM_EPS);
-                let mut logits = vec![0.0f32; v];
-                matvec(head, &x, &mut logits, v, h);
-                (c.seq, logits)
-            })
+            .map(|(c, hrows)| (c.seq, &hrows[(c.tokens.len() - 1) * h..c.tokens.len() * h]))
+            .collect();
+        let mut x = Vec::with_capacity(sampled.len() * h);
+        for (_, last) in &sampled {
+            x.extend_from_slice(last);
+        }
+        norm_rows(&mut x, norm);
+        let mut logits = vec![0.0f32; sampled.len() * head.rows()];
+        head.matmul(&x, &mut logits, sampled.len());
+        sampled
+            .iter()
+            .zip(logits.chunks_exact(head.rows()))
+            .map(|((seq, _), row)| (*seq, row.to_vec()))
             .collect()
     }
 }
 
-/// Project one chunk's hidden rows to (roped Q, roped K, V).
-fn project_qkv(
-    cfg: &ModelConfig,
-    layer: &LayerWeights,
-    c: &BatchChunk,
-    hrows: &[f32],
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let h = cfg.hidden_size;
-    let qd = cfg.q_dim();
-    let kvd = cfg.kv_dim();
-    let hd = cfg.head_dim;
-    let n = c.tokens.len();
-    let mut q = vec![0.0f32; n * qd];
-    let mut k = vec![0.0f32; n * kvd];
-    let mut v = vec![0.0f32; n * kvd];
-    let mut normed = vec![0.0f32; h];
-    for t in 0..n {
-        normed.copy_from_slice(&hrows[t * h..(t + 1) * h]);
-        rmsnorm(&mut normed, &layer.attn_norm, NORM_EPS);
-        matvec(&layer.wq, &normed, &mut q[t * qd..(t + 1) * qd], qd, h);
-        matvec(&layer.wk, &normed, &mut k[t * kvd..(t + 1) * kvd], kvd, h);
-        matvec(&layer.wv, &normed, &mut v[t * kvd..(t + 1) * kvd], kvd, h);
-        let pos = c.start_pos + t;
-        for head in 0..cfg.num_heads {
-            rope(&mut q[t * qd + head * hd..t * qd + (head + 1) * hd], pos);
-        }
-        for head in 0..cfg.num_kv_heads {
-            rope(&mut k[t * kvd + head * hd..t * kvd + (head + 1) * hd], pos);
-        }
+/// RMS-normalise every `gain.len()`-wide row of `x` by `gain`.
+fn norm_rows(x: &mut [f32], gain: &[f32]) {
+    for row in x.chunks_exact_mut(gain.len()) {
+        rmsnorm(row, gain, NORM_EPS);
     }
-    (q, k, v)
 }
 
-/// Grouped-query attention over the paged store, output projection,
-/// residuals and the SwiGLU MLP for one chunk. Mutates the hidden rows.
-#[allow(clippy::too_many_arguments)]
-fn attend_and_mlp(
+/// Scratch buffers attention reuses across chunks and layers.
+struct AttnScratch {
+    /// A chunk's context keys, transposed: `[kv_dim × ctx]`.
+    keys_t: Vec<f32>,
+    /// One token's scores, `[num_heads × ctx]`.
+    scores: Vec<f32>,
+}
+
+/// Grouped-query attention for one chunk in one layer. `slots` are the
+/// sequence's slots for positions `0..first + tokens`, `q` and `out` the
+/// chunk's `tokens × q_dim` rows; the token at position `pos` attends to
+/// positions `0..=pos`. The context's keys are gathered once per chunk,
+/// transposed so each head scores all positions in one pass per key
+/// component. Each dot product, softmax and value sum keeps its reference
+/// order: components ascending for the dot products, positions ascending
+/// for the value sums, each from `0.0`.
+fn attend(
     cfg: &ModelConfig,
-    layer: &LayerWeights,
-    kv: &PagedKvStore,
-    local_layer: usize,
-    c: &BatchChunk,
-    table: &PageTable,
+    (keys, values): (&[f32], &[f32]),
+    slots: &[usize],
+    first: usize,
     q: &[f32],
-    hrows: &mut [f32],
+    out: &mut [f32],
+    scratch: &mut AttnScratch,
 ) {
-    let h = cfg.hidden_size;
-    let qd = cfg.q_dim();
-    let hd = cfg.head_dim;
+    let (hd, kvd, qd) = (cfg.head_dim, cfg.kv_dim(), cfg.q_dim());
     let group = cfg.num_heads / cfg.num_kv_heads;
     let scale = 1.0 / (hd as f32).sqrt();
-
-    let mut attn_out = vec![0.0f32; qd];
-    let mut proj = vec![0.0f32; h];
-    for t in 0..c.tokens.len() {
-        let pos = c.start_pos + t;
-        let ctx = pos + 1; // causal: attend to positions 0..=pos
-        attn_out.iter_mut().for_each(|x| *x = 0.0);
-        for head in 0..cfg.num_heads {
+    let ctx = slots.len();
+    let keys_t = &mut scratch.keys_t[..kvd * ctx];
+    for (j, &slot) in slots.iter().enumerate() {
+        for (e, &k) in keys[slot * kvd..(slot + 1) * kvd].iter().enumerate() {
+            keys_t[e * ctx + j] = k;
+        }
+    }
+    for ((pos, qrow), orow) in (first..).zip(q.chunks_exact(qd)).zip(out.chunks_exact_mut(qd)) {
+        let n = pos + 1;
+        let scores = &mut scratch.scores[..cfg.num_heads * n];
+        for ((head, qh), s) in qrow.chunks_exact(hd).enumerate().zip(scores.chunks_exact_mut(n)) {
             let kvh = head / group;
-            let qh = &q[t * qd + head * hd..t * qd + (head + 1) * hd];
-            let mut scores = vec![0.0f32; ctx];
-            for (j, s) in scores.iter_mut().enumerate() {
-                let key = kv.key(local_layer, table.slot_of(j));
-                let kh = &key[kvh * hd..(kvh + 1) * hd];
-                let mut dot = 0.0f32;
-                for (a, b) in qh.iter().zip(kh.iter()) {
-                    dot += a * b;
+            s.fill(0.0);
+            for (d, &qv) in qh.iter().enumerate() {
+                let kd = &keys_t[(kvh * hd + d) * ctx..][..n];
+                for (s, &k) in s.iter_mut().zip(kd) {
+                    *s += qv * k;
                 }
-                *s = dot * scale;
             }
-            softmax(&mut scores);
-            let out = &mut attn_out[head * hd..(head + 1) * hd];
-            for (j, &p) in scores.iter().enumerate() {
-                let val = kv.value(local_layer, table.slot_of(j));
-                let vh = &val[kvh * hd..(kvh + 1) * hd];
-                for (o, &x) in out.iter_mut().zip(vh.iter()) {
+            for s in s.iter_mut() {
+                *s *= scale;
+            }
+            softmax(s);
+        }
+        orow.fill(0.0);
+        for (j, &slot) in slots[..n].iter().enumerate() {
+            let val = &values[slot * kvd..(slot + 1) * kvd];
+            for (head, oh) in orow.chunks_exact_mut(hd).enumerate() {
+                let p = scores[head * n + j];
+                let vh = &val[head / group * hd..(head / group + 1) * hd];
+                for (o, &x) in oh.iter_mut().zip(vh.iter()) {
                     *o += p * x;
                 }
             }
         }
-        matvec(&layer.wo, &attn_out, &mut proj, h, qd);
-        let row = &mut hrows[t * h..(t + 1) * h];
-        add_assign(row, &proj);
-
-        // SwiGLU MLP with pre-norm and residual.
-        let mut normed = row.to_vec();
-        rmsnorm(&mut normed, &layer.mlp_norm, NORM_EPS);
-        let i = cfg.intermediate_size;
-        let mut gate = vec![0.0f32; i];
-        let mut up = vec![0.0f32; i];
-        matvec(&layer.w_gate, &normed, &mut gate, i, h);
-        matvec(&layer.w_up, &normed, &mut up, i, h);
-        for (g, u) in gate.iter_mut().zip(up.iter()) {
-            *g = silu(*g) * u;
-        }
-        matvec(&layer.w_down, &gate, &mut proj, h, i);
-        add_assign(row, &proj);
     }
 }
 

@@ -12,6 +12,8 @@ use gllm_model::ModelConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::kernels::Packed;
+
 /// Tags identifying each tensor within a layer (or globally).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tensor {
@@ -60,27 +62,28 @@ impl Tensor {
     }
 }
 
-/// Weights of one decoder layer.
+/// Weights of one decoder layer. Projections are generated row-major
+/// (`[out × in]`) and held packed into panels for [`Packed::matmul`].
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     /// Attention-input RMSNorm gain, `[hidden]`.
     pub attn_norm: Vec<f32>,
-    /// Query projection, `[q_dim × hidden]` row-major.
-    pub wq: Vec<f32>,
+    /// Query projection, `[q_dim × hidden]`.
+    pub wq: Packed,
     /// Key projection, `[kv_dim × hidden]`.
-    pub wk: Vec<f32>,
+    pub wk: Packed,
     /// Value projection, `[kv_dim × hidden]`.
-    pub wv: Vec<f32>,
+    pub wv: Packed,
     /// Output projection, `[hidden × q_dim]`.
-    pub wo: Vec<f32>,
+    pub wo: Packed,
     /// MLP-input RMSNorm gain, `[hidden]`.
     pub mlp_norm: Vec<f32>,
     /// SwiGLU gate, `[intermediate × hidden]`.
-    pub w_gate: Vec<f32>,
+    pub w_gate: Packed,
     /// SwiGLU up, `[intermediate × hidden]`.
-    pub w_up: Vec<f32>,
+    pub w_up: Packed,
     /// SwiGLU down, `[hidden × intermediate]`.
-    pub w_down: Vec<f32>,
+    pub w_down: Packed,
 }
 
 /// Splitmix64: cheap, high-quality seed derivation.
@@ -110,16 +113,19 @@ pub fn gen_layer(cfg: &ModelConfig, master: u64, layer: usize) -> LayerWeights {
     let kv = cfg.kv_dim();
     let i = cfg.intermediate_size;
     let s = 0.6 / (h as f32).sqrt();
+    let matrix = |tensor, rows, cols, scale| {
+        Packed::new(&gen_tensor(master, layer, tensor, rows * cols, scale), rows, cols)
+    };
     LayerWeights {
         attn_norm: gen_norm(master, layer, Tensor::AttnNorm, h),
-        wq: gen_tensor(master, layer, Tensor::Wq, q * h, s),
-        wk: gen_tensor(master, layer, Tensor::Wk, kv * h, s),
-        wv: gen_tensor(master, layer, Tensor::Wv, kv * h, s),
-        wo: gen_tensor(master, layer, Tensor::Wo, h * q, s),
+        wq: matrix(Tensor::Wq, q, h, s),
+        wk: matrix(Tensor::Wk, kv, h, s),
+        wv: matrix(Tensor::Wv, kv, h, s),
+        wo: matrix(Tensor::Wo, h, q, s),
         mlp_norm: gen_norm(master, layer, Tensor::MlpNorm, h),
-        w_gate: gen_tensor(master, layer, Tensor::WGate, i * h, s),
-        w_up: gen_tensor(master, layer, Tensor::WUp, i * h, s),
-        w_down: gen_tensor(master, layer, Tensor::WDown, h * i, 0.6 / (i as f32).sqrt()),
+        w_gate: matrix(Tensor::WGate, i, h, s),
+        w_up: matrix(Tensor::WUp, i, h, s),
+        w_down: matrix(Tensor::WDown, h, i, 0.6 / (i as f32).sqrt()),
     }
 }
 
@@ -128,15 +134,16 @@ pub fn gen_embedding(cfg: &ModelConfig, master: u64) -> Vec<f32> {
     gen_tensor(master, usize::MAX, Tensor::Embedding, cfg.vocab_size * cfg.hidden_size, 0.5)
 }
 
-/// Generate the LM head (`[vocab × hidden]`).
-pub fn gen_lm_head(cfg: &ModelConfig, master: u64) -> Vec<f32> {
-    gen_tensor(
+/// Generate the LM head (`[vocab × hidden]`, packed).
+pub fn gen_lm_head(cfg: &ModelConfig, master: u64) -> Packed {
+    let w = gen_tensor(
         master,
         usize::MAX,
         Tensor::LmHead,
         cfg.vocab_size * cfg.hidden_size,
         0.6 / (cfg.hidden_size as f32).sqrt(),
-    )
+    );
+    Packed::new(&w, cfg.vocab_size, cfg.hidden_size)
 }
 
 /// Generate the final RMSNorm gain.
@@ -175,10 +182,11 @@ mod tests {
     fn shapes_match_config() {
         let cfg = ModelConfig::tiny();
         let l = gen_layer(&cfg, 7, 0);
-        assert_eq!(l.wq.len(), cfg.q_dim() * cfg.hidden_size);
-        assert_eq!(l.wk.len(), cfg.kv_dim() * cfg.hidden_size);
-        assert_eq!(l.wo.len(), cfg.hidden_size * cfg.q_dim());
-        assert_eq!(l.w_down.len(), cfg.hidden_size * cfg.intermediate_size);
+        let shape = |m: &Packed| (m.rows(), m.cols());
+        assert_eq!(shape(&l.wq), (cfg.q_dim(), cfg.hidden_size));
+        assert_eq!(shape(&l.wk), (cfg.kv_dim(), cfg.hidden_size));
+        assert_eq!(shape(&l.wo), (cfg.hidden_size, cfg.q_dim()));
+        assert_eq!(shape(&l.w_down), (cfg.hidden_size, cfg.intermediate_size));
         assert_eq!(gen_embedding(&cfg, 7).len(), cfg.vocab_size * cfg.hidden_size);
     }
 
