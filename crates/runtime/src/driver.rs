@@ -97,8 +97,9 @@ pub struct DriverParams {
     pub links: PipelineLinks,
     /// Respawns downstream stages from seeded weights after a failure.
     pub spawner: StageSpawner,
-    /// Token/rejection/failure events to the frontend.
-    pub stream_tx: Sender<StreamEvent>,
+    /// Token/rejection/failure events to the frontend, one message per
+    /// driver step that produced any.
+    pub stream_tx: Sender<Vec<StreamEvent>>,
     /// Pipeline depth (= number of stages).
     pub depth: usize,
     /// Per-batch sequence cap.
@@ -166,7 +167,7 @@ struct Driver {
     req_rx: Receiver<DriverMsg>,
     links: PipelineLinks,
     spawner: StageSpawner,
-    stream_tx: Sender<StreamEvent>,
+    stream_tx: Sender<Vec<StreamEvent>>,
     depth: usize,
     audit_state: Arc<Mutex<Option<AuditSnapshot>>>,
 
@@ -356,7 +357,7 @@ impl Driver {
             if let Some(a) = self.auditor.as_mut() {
                 a.on_abort(r.id);
             }
-            let _ = self.stream_tx.send(StreamEvent::Rejected { seq: r.id });
+            let _ = self.stream_tx.send(vec![StreamEvent::Rejected { seq: r.id }]);
             return;
         }
         self.pool.add(r.id, r.prompt.len(), r.max_new);
@@ -373,6 +374,7 @@ impl Driver {
         let outcome = self.pool.complete(&plan);
         let now = self.now();
         let token_of: HashMap<u64, u32> = res.tokens.into_iter().collect();
+        let mut events = Vec::with_capacity(outcome.emitted.len());
         for e in &outcome.emitted {
             let Some(&token) = token_of.get(&e.seq) else { continue };
             self.recorder.on_token(e.seq, now);
@@ -384,9 +386,12 @@ impl Driver {
             } else if let Some(info) = self.seqs.get_mut(&e.seq) {
                 info.text.push(token);
             }
-            let _ = self
-                .stream_tx
-                .send(StreamEvent::Token { seq: e.seq, token, finished: e.finished });
+            events.push(StreamEvent::Token { seq: e.seq, token, finished: e.finished });
+        }
+        // One message per completed batch: the frontend wakes once for
+        // all of the batch's tokens rather than once per token.
+        if !events.is_empty() {
+            let _ = self.stream_tx.send(events);
         }
         self.in_flight -= 1;
         self.last_progress = Instant::now();
@@ -418,7 +423,7 @@ impl Driver {
             a.on_request_failed(now, seq);
         }
         self.publish_snapshot();
-        let _ = self.stream_tx.send(StreamEvent::Failed { seq });
+        let _ = self.stream_tx.send(vec![StreamEvent::Failed { seq }]);
     }
 
     /// One scheduling attempt: plan, admit, commit, broadcast, execute

@@ -12,7 +12,9 @@
 //!   `select!`, never stalling the pipeline.
 //! * **Decoupled frontend–backend processing** — callers talk to the
 //!   [`server::Server`] handle over channels; token streaming is
-//!   independent of model execution.
+//!   independent of model execution. The driver sends each completed
+//!   batch's tokens as one message, so the frontend wakes once per batch,
+//!   not once per token.
 //! * **Preemptive metadata scheduling** — the driver broadcasts each
 //!   micro-batch's metadata (chunk composition + page tables) to *all*
 //!   stages at schedule time, so a worker can prepare before the previous

@@ -1,7 +1,7 @@
 //! The serving frontend: spawn, submit, stream, shut down.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -199,7 +199,10 @@ impl std::error::Error for SubmitError {}
 /// the driver at shutdown.
 pub struct Server {
     req_tx: Sender<DriverMsg>,
-    stream_rx: Receiver<StreamEvent>,
+    /// The driver's events, one message per driver step.
+    stream_rx: Receiver<Vec<StreamEvent>>,
+    /// Events received but not yet handed out by [`Server::next_event`].
+    pending: Mutex<VecDeque<StreamEvent>>,
     driver: Option<JoinHandle<DriverOutput>>,
     audit_state: Arc<Mutex<Option<AuditSnapshot>>>,
     stall_timeout: Duration,
@@ -287,6 +290,7 @@ impl Server {
         Ok(Self {
             req_tx,
             stream_rx,
+            pending: Mutex::new(VecDeque::new()),
             driver: Some(driver),
             audit_state,
             stall_timeout: cfg.stall_timeout,
@@ -307,7 +311,17 @@ impl Server {
 
     /// Wait up to `timeout` for the next stream event.
     pub fn next_event(&self, timeout: Duration) -> Option<StreamEvent> {
-        self.stream_rx.recv_timeout(timeout).ok()
+        if let Some(ev) = self.pending().pop_front() {
+            return Some(ev);
+        }
+        let events = self.stream_rx.recv_timeout(timeout).ok()?;
+        let mut pending = self.pending();
+        pending.extend(events);
+        pending.pop_front()
+    }
+
+    fn pending(&self) -> MutexGuard<'_, VecDeque<StreamEvent>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The auditor's state as of the last schedule/complete transition
