@@ -31,7 +31,7 @@ cargo clippy --all-targets -- -D warnings
 cargo test -q --release -p gllm-runtime --test chaos
 
 # Stage 2: perf self-benchmark. Times every figure family's sweep serial
-# vs parallel vs the unoptimized baseline, writes BENCH_sweep.json at the
-# repo root, and exits nonzero if the parallel sweep's output ever
-# diverges from the serial run (the harness's bit-identity guarantee).
+# vs parallel, writes BENCH_sweep.json at the repo root, and exits nonzero
+# if the parallel sweep's output ever diverges from the serial run (the
+# harness's bit-identity guarantee).
 cargo run --release -p gllm-bench --bin perf_harness -- --quick

@@ -37,9 +37,9 @@ fn main() {
     println!("Extension ablation — MoE expert-routing variance (32B-equivalent, 4xL20)\n");
     let systems = [SystemConfig::gllm(), SystemConfig::vllm()];
     let variances = [0.0, 0.1, 0.25, 0.5];
-    let tweaks: Vec<Box<dyn Fn(&mut CostModel) + Sync>> = variances
+    let tweaks: Vec<_> = variances
         .iter()
-        .map(|&v| Box::new(move |cost: &mut CostModel| cost.expert_imbalance = v) as Box<_>)
+        .map(|&v| move |cost: &mut CostModel| cost.expert_imbalance = v)
         .collect();
     let cells: Vec<(&SystemConfig, f64)> = systems
         .iter()
@@ -54,7 +54,7 @@ fn main() {
                 system: sys,
                 deployment,
                 cfg: cfg_ref,
-                tweak: Some(&**tw),
+                tweak: Some(tw),
             })
         })
         .collect();

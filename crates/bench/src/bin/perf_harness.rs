@@ -1,21 +1,18 @@
 //! Self-benchmark of the sweep harness and the sim-engine hot path.
 //!
-//! For each figure family this binary runs the same sweep three ways:
+//! For each figure family this binary runs the same sweep two ways:
 //!
-//! 1. **serial** — optimized engine (cost memoization on, per-iteration
-//!    observers off), one worker;
+//! 1. **serial** — per-iteration observers and the auditor off, one
+//!    worker;
 //! 2. **parallel** — identical jobs fanned across `--jobs` workers
 //!    (default: all cores), asserting the serialized results are
-//!    **byte-identical** to the serial run — any divergence exits nonzero;
-//! 3. **baseline** — the pre-optimization engine configuration
-//!    (memoization off, legacy scheduler data paths, auditor and all
-//!    observers on), serial — what every bench paid before this harness
-//!    existed.
+//!    **byte-identical** to the serial run — any divergence exits nonzero.
 //!
 //! It writes `BENCH_sweep.json` at the repo root recording wall-clock
-//! seconds, speedups and simulation rates per figure plus end-to-end
-//! totals. `--quick` trims each family to a smoke-test subset for CI.
+//! seconds, speedups and simulation rates per figure plus totals.
+//! `--quick` trims each family to a smoke-test subset for CI.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use gllm_bench::{has_flag, jobs, sweep_rates_with_cfg};
@@ -28,25 +25,10 @@ use gllm_sim::{Deployment, SystemConfig};
 use gllm_workload::{Dataset, Trace};
 use serde::Serialize;
 
-/// The seed-equivalent engine configuration: no cost memoization, the
-/// legacy scheduler data paths, the invariant auditor and every observer
-/// recording — exactly what the benches ran before this PR.
-fn baseline_cfg() -> EngineConfig {
-    EngineConfig {
-        memoize_costs: false,
-        fast_scheduler: false,
-        audit: true,
-        record_token_trace: true,
-        record_utilization: true,
-        ..EngineConfig::default()
-    }
-}
-
-/// The optimized sweep configuration: fast scheduler paths, memoized
-/// costs, observers and the (pure-validation) auditor off. The invariant
-/// audit still runs in every figure binary and across the test suite; the
-/// harness's job is to time raw sweep throughput.
-fn optimized_cfg() -> EngineConfig {
+/// The sweep configuration: observers and the (pure-validation) auditor
+/// off. The invariant audit still runs in every figure binary and across
+/// the test suite; the harness's job is to time raw sweep throughput.
+fn sweep_cfg() -> EngineConfig {
     EngineConfig {
         record_token_trace: false,
         record_utilization: false,
@@ -62,8 +44,6 @@ struct FigureTiming {
     serial_s: f64,
     parallel_s: f64,
     parallel_speedup: f64,
-    baseline_serial_s: f64,
-    speedup_vs_baseline: f64,
     sims_per_sec: f64,
 }
 
@@ -75,23 +55,21 @@ struct BenchSweep {
     figures: Vec<FigureTiming>,
     total_serial_s: f64,
     total_parallel_s: f64,
-    total_baseline_serial_s: f64,
     parallel_speedup: f64,
-    /// Headline number: optimized parallel sweep vs the seed-equivalent
-    /// serial baseline (unmemoized engine, full recording).
-    end_to_end_speedup: f64,
 }
 
 /// One figure family: how to run its sweep under a given (cfg, jobs) and
 /// how many simulations that is. Returns serialized results for the
-/// serial-vs-parallel equality check (baseline results are not compared —
-/// recording flags are pure observers but the baseline timing is the
-/// point, not its output).
+/// serial-vs-parallel equality check.
 struct Family {
     name: &'static str,
     sims: usize,
-    run: Box<dyn Fn(&EngineConfig, usize) -> Vec<u8>>,
+    run: SweepFn,
 }
+
+/// Runs a family's sweep under `(cfg, jobs)`, returning its serialized
+/// results.
+type SweepFn = Box<dyn Fn(&EngineConfig, usize) -> Vec<u8>>;
 
 fn rate_family(
     name: &'static str,
@@ -236,14 +214,13 @@ fn time<F: FnOnce() -> Vec<u8>>(f: F) -> (f64, Vec<u8>) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let quick = has_flag(&args, "--quick");
     let jobs = jobs();
     let cores = gllm_sim::sweep::default_jobs();
     let parallel_jobs = jobs.max(4);
-    let opt = optimized_cfg();
-    let base = baseline_cfg();
+    let cfg = sweep_cfg();
 
     println!(
         "perf harness — {} mode, {} cores, parallel runs use {} jobs\n",
@@ -253,11 +230,11 @@ fn main() {
     );
 
     let mut figures = Vec::new();
-    let (mut tot_serial, mut tot_parallel, mut tot_baseline) = (0.0, 0.0, 0.0);
+    let (mut tot_serial, mut tot_parallel) = (0.0, 0.0);
     let mut diverged = false;
     for fam in families(quick) {
-        let (serial_s, serial_bytes) = time(|| (fam.run)(&opt, 1));
-        let (parallel_s, parallel_bytes) = time(|| (fam.run)(&opt, parallel_jobs));
+        let (serial_s, serial_bytes) = time(|| (fam.run)(&cfg, 1));
+        let (parallel_s, parallel_bytes) = time(|| (fam.run)(&cfg, parallel_jobs));
         if serial_bytes != parallel_bytes {
             eprintln!(
                 "DIVERGENCE: {} parallel output differs from serial ({} vs {} bytes)",
@@ -267,27 +244,18 @@ fn main() {
             );
             diverged = true;
         }
-        let (baseline_s, _) = time(|| (fam.run)(&base, 1));
         println!(
-            "{:<20} {:>3} sims  serial {:>7.3}s  parallel {:>7.3}s  baseline {:>7.3}s  vs-baseline {:>5.2}x",
-            fam.name,
-            fam.sims,
-            serial_s,
-            parallel_s,
-            baseline_s,
-            baseline_s / parallel_s.max(f64::MIN_POSITIVE),
+            "{:<20} {:>3} sims  serial {:>7.3}s  parallel {:>7.3}s",
+            fam.name, fam.sims, serial_s, parallel_s,
         );
         tot_serial += serial_s;
         tot_parallel += parallel_s;
-        tot_baseline += baseline_s;
         figures.push(FigureTiming {
             figure: fam.name.into(),
             sims: fam.sims,
             serial_s,
             parallel_s,
             parallel_speedup: serial_s / parallel_s.max(f64::MIN_POSITIVE),
-            baseline_serial_s: baseline_s,
-            speedup_vs_baseline: baseline_s / parallel_s.max(f64::MIN_POSITIVE),
             sims_per_sec: fam.sims as f64 / parallel_s.max(f64::MIN_POSITIVE),
         });
     }
@@ -299,18 +267,11 @@ fn main() {
         figures,
         total_serial_s: tot_serial,
         total_parallel_s: tot_parallel,
-        total_baseline_serial_s: tot_baseline,
         parallel_speedup: tot_serial / tot_parallel.max(f64::MIN_POSITIVE),
-        end_to_end_speedup: tot_baseline / tot_parallel.max(f64::MIN_POSITIVE),
     };
     println!(
-        "\ntotals: serial {:.2}s, parallel {:.2}s, baseline {:.2}s — \
-         parallel speedup {:.2}x, end-to-end vs baseline {:.2}x",
-        tot_serial,
-        tot_parallel,
-        tot_baseline,
-        report.parallel_speedup,
-        report.end_to_end_speedup
+        "\ntotals: serial {:.2}s, parallel {:.2}s — parallel speedup {:.2}x",
+        tot_serial, tot_parallel, report.parallel_speedup,
     );
 
     // BENCH_sweep.json lives at the repo root, next to ROADMAP.md.
@@ -325,6 +286,7 @@ fn main() {
 
     if diverged {
         eprintln!("FAIL: parallel sweep diverged from serial");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -36,23 +36,12 @@ pub fn admit(proposed: BatchPlan, pool: &mut RequestPool, kv: &mut KvCacheManage
     // sequence so higher-priority ones can proceed.
     let mut protected: Vec<u64> = Vec::with_capacity(proposed.decode.len() + 1);
     let mut pending: std::collections::VecDeque<_> = proposed.decode.into();
-    let fast = pool.fast_path();
     while let Some(slot) = pending.pop_front() {
         loop {
-            // Fast path: append directly and treat the (rare) out-of-blocks
-            // error as the preemption trigger — one map probe per slot
-            // instead of the legacy check-then-append pair. `append` is
-            // atomic, so a failure allocates nothing; both paths admit the
-            // identical plan.
-            let admitted = if fast {
-                kv.append(slot.seq, Tokens(1)).is_ok()
-            } else if kv.can_append(slot.seq, Tokens(1)) {
-                kv.append(slot.seq, Tokens(1)).expect("checked"); // lint:allow(panic-freedom): can_append checked on the previous line
-                true
-            } else {
-                false
-            };
-            if admitted {
+            // Append directly and treat the (rare) out-of-blocks error as
+            // the preemption trigger: one map probe per slot. `append` is
+            // atomic, so a failure allocates nothing.
+            if kv.append(slot.seq, Tokens(1)).is_ok() {
                 protected.push(slot.seq);
                 decode.push(slot);
                 break;

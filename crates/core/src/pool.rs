@@ -58,13 +58,8 @@ pub struct RequestPool {
     /// to be scheduled while earlier chunks are still in flight in later
     /// pipeline stages.
     cpp: bool,
-    /// Use the optimized scheduler data paths ([`RequestPool::view`]'s
-    /// direct map walk, the O(1) live count, single-probe KV admission).
-    /// Bit-identical to the legacy paths; the switch exists so the perf
-    /// harness can time the unoptimized baseline.
-    fast: bool,
     /// Running count of unfinished sequences (maintained on every
-    /// transition so `unfinished_count` is O(1) on the fast path).
+    /// transition so `unfinished_count` is O(1)).
     unfinished: usize,
     /// Whether `order` is ascending by id. True for the sim plane (trace
     /// ids arrive in order), which lets `view` walk `seqs` directly
@@ -80,7 +75,6 @@ impl RequestPool {
             order: Vec::new(),
             max_seqs_per_batch,
             cpp: false,
-            fast: true,
             unfinished: 0,
             order_sorted: true,
         }
@@ -91,20 +85,6 @@ impl RequestPool {
     pub fn with_cpp(mut self, cpp: bool) -> Self {
         self.cpp = cpp;
         self
-    }
-
-    /// Select between the optimized and the legacy scheduler data paths.
-    /// Both produce bit-identical schedules; `false` replays the
-    /// unoptimized baseline for the perf harness.
-    pub fn with_fast_path(mut self, fast: bool) -> Self {
-        self.fast = fast;
-        self
-    }
-
-    /// Whether the optimized data paths are active (admission keys its
-    /// single-probe KV append off this).
-    pub fn fast_path(&self) -> bool {
-        self.fast
     }
 
     /// Admit a new request.
@@ -155,18 +135,13 @@ impl RequestPool {
         self.seqs.get(&id)
     }
 
-    /// Number of unfinished sequences. O(1) on the fast path (a running
-    /// counter); a full scan on the legacy path.
+    /// Number of unfinished sequences (a running counter, O(1)).
     pub fn unfinished_count(&self) -> usize {
-        if self.fast {
-            debug_assert_eq!(
-                self.unfinished,
-                self.seqs.values().filter(|s| !s.is_finished()).count()
-            );
-            self.unfinished
-        } else {
+        debug_assert_eq!(
+            self.unfinished,
             self.seqs.values().filter(|s| !s.is_finished()).count()
-        }
+        );
+        self.unfinished
     }
 
     /// Whether any sequence still needs work (including in-flight ones).
@@ -184,68 +159,22 @@ impl RequestPool {
         block_size: Tokens,
         pipeline_depth: usize,
     ) -> ScheduleView {
-        let mut waiting = Vec::new();
-        let mut decodable = Vec::new();
+        // Pre-sizing absorbs the growth reallocations: the view is rebuilt
+        // on every schedule attempt, the simulator's hottest loop.
+        let mut waiting = Vec::with_capacity(self.seqs.len());
+        let mut decodable = Vec::with_capacity(self.seqs.len());
         let mut total_decode = 0usize;
         let mut in_flight = 0usize;
-        if self.fast && self.order_sorted {
-            // Fast path: `order` is ascending by id, so walking the map
-            // directly visits the same sequences in the same (FCFS) order
-            // without one O(log n) lookup per id. Pre-sizing absorbs the
-            // growth reallocations — the view is rebuilt on every schedule
-            // attempt, which is the simulator's hottest loop.
-            waiting.reserve(self.seqs.len());
-            decodable.reserve(self.seqs.len());
-            for s in self.seqs.values() {
-                if s.is_finished() {
-                    continue;
-                }
-                if s.is_in_flight() {
-                    in_flight += 1;
-                }
-                match s.phase {
-                    Phase::Waiting if s.prefill_schedulable(self.cpp) => {
-                        waiting.push(WaitingSeq {
-                            seq: s.id,
-                            remaining_prefill: Tokens(s.remaining_prefill()),
-                            context_before: Tokens(s.context_len()),
-                        })
-                    }
-                    Phase::Decoding => {
-                        total_decode += 1;
-                        if s.decode_schedulable() {
-                            decodable.push(DecodableSeq {
-                                seq: s.id,
-                                context_before: Tokens(s.context_len()),
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            return ScheduleView {
-                waiting,
-                decodable,
-                total_decode_seqs: total_decode,
-                kv_free_rate,
-                kv_free_tokens,
-                block_size,
-                in_flight_seqs: in_flight,
-                pipeline_depth,
-                max_seqs_per_batch: self.max_seqs_per_batch,
-            };
-        }
-        for &id in &self.order {
-            let Some(s) = self.seqs.get(&id) else { continue };
+        let mut visit = |s: &Sequence| {
             if s.is_finished() {
-                continue;
+                return;
             }
             if s.is_in_flight() {
                 in_flight += 1;
             }
             match s.phase {
                 Phase::Waiting if s.prefill_schedulable(self.cpp) => waiting.push(WaitingSeq {
-                    seq: id,
+                    seq: s.id,
                     remaining_prefill: Tokens(s.remaining_prefill()),
                     context_before: Tokens(s.context_len()),
                 }),
@@ -253,13 +182,21 @@ impl RequestPool {
                     total_decode += 1;
                     if s.decode_schedulable() {
                         decodable.push(DecodableSeq {
-                            seq: id,
+                            seq: s.id,
                             context_before: Tokens(s.context_len()),
                         });
                     }
                 }
                 _ => {}
             }
+        };
+        if self.order_sorted {
+            // `order` is ascending by id, so walking the map visits the
+            // same sequences in the same (FCFS) order without one
+            // O(log n) lookup per id.
+            self.seqs.values().for_each(&mut visit);
+        } else {
+            self.order.iter().filter_map(|id| self.seqs.get(id)).for_each(&mut visit);
         }
         ScheduleView {
             waiting,
@@ -708,38 +645,31 @@ mod tests {
     }
 
     #[test]
-    fn fast_view_matches_legacy_for_sorted_and_unsorted_arrivals() {
+    fn view_keeps_arrival_order_for_sorted_and_unsorted_ids() {
         // Sorted ids hit the direct map walk; out-of-order ids (5 before 3)
         // must fall back to the order-vector walk so FCFS is preserved.
-        // Either way the view must equal the legacy pool's bit for bit.
         for ids in [vec![1u64, 2, 3, 4], vec![5u64, 3, 9, 1]] {
-            let build = |fast: bool| {
-                let mut pool = RequestPool::new(1024).with_fast_path(fast);
-                for &id in &ids {
-                    pool.add(id, 20 + id as usize, 4);
-                }
-                // Move the first arrival into decode so the view has both
-                // waiting and decodable entries.
-                let first = ids[0];
-                let plan = BatchPlan {
-                    prefill: vec![chunk(first, 20 + first as usize, 0, true)],
-                    decode: vec![],
-                };
-                pool.commit(&plan);
-                pool.complete(&plan);
-                pool
+            let mut pool = RequestPool::new(1024);
+            for &id in &ids {
+                pool.add(id, 20 + id as usize, 4);
+            }
+            // Move the first arrival into decode so the view has both
+            // waiting and decodable entries.
+            let first = ids[0];
+            let plan = BatchPlan {
+                prefill: vec![chunk(first, 20 + first as usize, 0, true)],
+                decode: vec![],
             };
-            let fast = build(true);
-            let legacy = build(false);
-            let (vf, vl) = (view(&fast, 1000), view(&legacy, 1000));
-            assert_eq!(vf.waiting, vl.waiting, "ids {ids:?}");
-            assert_eq!(vf.decodable, vl.decodable, "ids {ids:?}");
-            assert_eq!(vf.total_decode_seqs, vl.total_decode_seqs);
-            assert_eq!(vf.in_flight_seqs, vl.in_flight_seqs);
+            pool.commit(&plan);
+            pool.complete(&plan);
+            let v = view(&pool, 1000);
+            let decodable: Vec<u64> = v.decodable.iter().map(|d| d.seq).collect();
+            assert_eq!(decodable, vec![first], "ids {ids:?}");
+            assert_eq!(v.total_decode_seqs, 1);
+            assert_eq!(v.in_flight_seqs, 0);
             // FCFS: waiting is in arrival order, not id order.
-            let expect: Vec<u64> = ids[1..].to_vec();
-            let got: Vec<u64> = vf.waiting.iter().map(|w| w.seq).collect();
-            assert_eq!(got, expect, "arrival order lost");
+            let got: Vec<u64> = v.waiting.iter().map(|w| w.seq).collect();
+            assert_eq!(got, ids[1..].to_vec(), "arrival order lost");
         }
     }
 
@@ -758,9 +688,9 @@ mod tests {
         assert_eq!(pool.unfinished_count(), 4);
         pool.abort(4);
         assert_eq!(pool.unfinished_count(), 3);
-        // The counter agrees with the legacy scan.
-        let legacy = pool.clone().with_fast_path(false);
-        assert_eq!(legacy.unfinished_count(), 3);
+        // The counter agrees with a full scan.
+        let scanned = pool.seqs.values().filter(|s| !s.is_finished()).count();
+        assert_eq!(scanned, 3);
     }
 
     #[test]

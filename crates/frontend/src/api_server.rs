@@ -221,7 +221,7 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
         let _ = respond(stream, 503, "application/json", &body);
         return;
     }
-    let mut tokens = Vec::with_capacity(parsed.max_tokens);
+    let mut tokens = Vec::new();
     let result = loop {
         match rx.recv_timeout(Duration::from_secs(120)) {
             Ok(StreamEvent::Token { token, finished, .. }) => {
@@ -320,7 +320,7 @@ fn handle_completion(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     let result = if parsed.stream {
         stream_completion(stream, shared, &parsed, id, prompt_len, &rx)
     } else {
-        blocking_completion(stream, shared, &parsed, id, prompt_len, &rx)
+        blocking_completion(stream, shared, id, prompt_len, &rx)
     };
     shared.routes.lock().expect("routes lock").remove(&id);
     let _ = result;
@@ -329,12 +329,11 @@ fn handle_completion(stream: &mut TcpStream, req: &Request, shared: &Shared) {
 fn blocking_completion(
     stream: &mut TcpStream,
     shared: &Shared,
-    parsed: &CompletionRequest,
     id: u64,
     prompt_len: usize,
     rx: &Receiver<StreamEvent>,
 ) -> std::io::Result<()> {
-    let mut tokens = Vec::with_capacity(parsed.max_tokens);
+    let mut tokens = Vec::new();
     loop {
         match rx.recv_timeout(Duration::from_secs(120)) {
             Ok(StreamEvent::Token { token, finished, .. }) => {
@@ -536,6 +535,21 @@ mod tests {
         assert!(missing.starts_with("HTTP/1.1 404"));
         let wrong_method = roundtrip(addr, "GET /v1/completions HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(wrong_method.starts_with("HTTP/1.1 405"));
+        // A huge max_tokens once pre-sized the handlers' token buffers and
+        // aborted the process; now it is an error and the server stays up.
+        for (path, body) in [
+            ("/v1/completions", r#"{"prompt":"hi","max_tokens":100000000000}"#),
+            (
+                "/v1/chat/completions",
+                r#"{"messages":[{"role":"user","content":"hi"}],"max_tokens":100000000000}"#,
+            ),
+        ] {
+            let resp = post(addr, path, body);
+            assert!(!resp.starts_with("HTTP/1.1 200"), "{path}: {resp}");
+            assert!(json_body(&resp)["error"]["message"].as_str().is_some(), "{path}: {resp}");
+        }
+        let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
         server.shutdown();
     }
 

@@ -180,10 +180,12 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
         dataset.name(),
         trace.len()
     );
-    let mut cfg = EngineConfig::default();
-    cfg.audit = !flags.contains_key("no-audit");
     let trace_out = flags.get("trace-out").cloned();
-    cfg.record_pipeline_trace = trace_out.is_some();
+    let cfg = EngineConfig {
+        audit: !flags.contains_key("no-audit"),
+        record_pipeline_trace: trace_out.is_some(),
+        ..EngineConfig::default()
+    };
     let r = run_experiment(&trace, &system, &deployment, &cfg);
     println!("system:      {}", r.system);
     println!("finished:    {}/{}", r.report.finished_requests, r.report.total_requests);

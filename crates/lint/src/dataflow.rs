@@ -421,8 +421,10 @@ pub fn unit_taint(f: &FnItem) -> Vec<(usize, String)> {
         // Binary position: something value-like on the left, and not a
         // compound assignment / arrow on the right.
         let binary = i > 0
-            && matches!(toks[i - 1].kind, TokKind::Ident | TokKind::Int | TokKind::Float)
-            || (i > 0 && toks[i - 1].kind == TokKind::Close);
+            && matches!(
+                toks[i - 1].kind,
+                TokKind::Ident | TokKind::Int | TokKind::Float | TokKind::Close
+            );
         let next_eq = toks.get(i + 1).map(|n| n.text == "=" || n.text == ">").unwrap_or(false);
         if !binary || next_eq {
             continue;

@@ -617,6 +617,7 @@ fn checks_for(rel: &Path) -> Vec<Check> {
         || p.contains("crates/core/src/")
         || p.contains("crates/kvcache/src/")
         || p.contains("crates/lint/src/")
+        || p.ends_with("crates/metrics/src/step.rs")
     {
         checks.push(Check::PanicFreedom);
     }
@@ -759,7 +760,7 @@ pub fn lint_rust_source_with_edges(
             message: message.clone(),
         });
     }
-    violations.sort_by(|a, b| (a.line, a.check).cmp(&(b.line, b.check)));
+    violations.sort_by_key(|v| (v.line, v.check));
     let edges_out =
         if checks.contains(&Check::LockOrder) { edges } else { Vec::new() };
     (violations, edges_out)
@@ -890,6 +891,14 @@ mod tests {
         assert!(checks.contains(&Check::LockDiscipline), "injector holds a shared mutex");
         let driver = checks_for(Path::new("crates/runtime/src/driver.rs"));
         assert!(driver.contains(&Check::PanicFreedom), "recovery path must be panic-free");
+    }
+
+    #[test]
+    fn scheduling_step_is_in_panic_freedom_scope() {
+        // The driver runs the shared scheduling step: a panic there takes
+        // the whole runtime down, wherever the step's crate lives.
+        let step = checks_for(Path::new("crates/metrics/src/step.rs"));
+        assert!(step.contains(&Check::PanicFreedom), "step.rs must be panic-free");
     }
 
     #[test]

@@ -22,15 +22,21 @@
 //!   and FCFS violations as they happen;
 //! * [`trace::PipelineTrace`] is a structured per-batch event log with a
 //!   Chrome `trace_event` exporter for chrome://tracing / Perfetto.
+//!
+//! [`step::SchedulerStep`] ties them to the scheduler: the one scheduling
+//! step the simulators and the runtime driver all run, feeding the
+//! recorder, the trace and the auditor from the same transitions.
 
 pub mod audit;
 pub mod recorder;
 pub mod report;
 pub mod series;
+pub mod step;
 pub mod trace;
 
 pub use audit::{AuditReport, AuditSnapshot, InvariantAuditor, Invariant, KvObservation, PlanCaps, Violation};
 pub use recorder::{MetricsRecorder, RequestTimeline};
 pub use report::{ServingReport, SloSpec};
 pub use series::{BusyTracker, TokenTrace, TokenTracePoint};
+pub use step::{Proposal, Scheduled, SchedulerStep};
 pub use trace::{PipelineTrace, TraceEvent, TraceEventKind};

@@ -34,16 +34,15 @@
 //! depends only on per-sequence text and step, never on batch shape),
 //! a recovered run produces exactly the tokens the fault-free run would.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
-use gllm_core::{admit, BatchPlan, RequestPool, SchedulePolicy};
-use gllm_kvcache::{KvCacheManager, Tokens};
+use gllm_core::{BatchPlan, RequestPool, SchedulePolicy};
+use gllm_kvcache::KvCacheManager;
 use gllm_metrics::{
-    AuditReport, AuditSnapshot, InvariantAuditor, KvObservation, MetricsRecorder, PipelineTrace,
-    PlanCaps,
+    AuditReport, AuditSnapshot, MetricsRecorder, PipelineTrace, Scheduled, SchedulerStep,
 };
 use gllm_transformer::model::BatchChunk;
 use gllm_transformer::sampler::{sample, SamplingParams};
@@ -148,27 +147,20 @@ enum Step {
 
 struct Driver {
     t0: Instant,
-    pool: RequestPool,
+    /// The global scheduler: pool, KV cache, auditor, trace and the
+    /// in-flight batches.
+    step: SchedulerStep,
     recorder: MetricsRecorder,
     seqs: HashMap<u64, SeqInfo>,
-    /// In-flight plans by batch id. Ordered so a recovery rolls batches
-    /// back deterministically (oldest first).
-    plans: BTreeMap<u64, BatchPlan>,
-    next_batch: u64,
-    in_flight: usize,
     shutting_down: bool,
     single_stage: bool,
-    auditor: Option<InvariantAuditor>,
-    ptrace: PipelineTrace,
 
     stage0: StageModel,
     policy: Arc<dyn SchedulePolicy>,
-    kvm: KvCacheManager,
     req_rx: Receiver<DriverMsg>,
     links: PipelineLinks,
     spawner: StageSpawner,
     stream_tx: Sender<Vec<StreamEvent>>,
-    depth: usize,
     audit_state: Arc<Mutex<Option<AuditSnapshot>>>,
 
     injector: FaultInjector,
@@ -188,29 +180,27 @@ struct Driver {
 impl Driver {
     fn new(p: DriverParams) -> Self {
         let single_stage = p.spawner.num_stages() == 1;
-        let auditor = p
-            .audit
-            .then(|| InvariantAuditor::new(p.kvm.stats().total_blocks, p.kvm.block_size(), p.depth));
         Self {
             t0: Instant::now(),
-            pool: RequestPool::new(p.max_seqs_per_batch).with_cpp(p.cpp),
+            // Built here, on the driver thread: built on the spawning thread
+            // instead, the step raised peak RSS by ~3 MB under HTTP load.
+            step: SchedulerStep::new(
+                RequestPool::new(p.max_seqs_per_batch).with_cpp(p.cpp),
+                p.kvm,
+                p.depth,
+                p.audit,
+                p.record_trace,
+            ),
             recorder: MetricsRecorder::new(),
             seqs: HashMap::new(),
-            plans: BTreeMap::new(),
-            next_batch: 0,
-            in_flight: 0,
             shutting_down: false,
             single_stage,
-            auditor,
-            ptrace: PipelineTrace::new(p.record_trace),
             stage0: p.stage0,
             policy: p.policy,
-            kvm: p.kvm,
             req_rx: p.req_rx,
             links: p.links,
             spawner: p.spawner,
             stream_tx: p.stream_tx,
-            depth: p.depth,
             audit_state: p.audit_state,
             injector: p.injector,
             pipeline_down: false,
@@ -275,17 +265,17 @@ impl Driver {
             self.drain_fault_log();
             if !self.single_stage {
                 if !self.pipeline_down
-                    && self.in_flight > 0
+                    && self.step.in_flight() > 0
                     && self.last_progress.elapsed() >= self.batch_timeout
                 {
                     // Heartbeat expired: threads may all be alive, but no
                     // batch has completed for a whole window (e.g. a
                     // dropped activation wedged the chain).
                     let now = self.now();
-                    if let Some(a) = self.auditor.as_mut() {
+                    if let Some(a) = self.step.auditor.as_mut() {
                         a.on_fault(now);
                     }
-                    self.ptrace.fault(now, "heartbeat timeout: no batch completion");
+                    self.step.trace.fault(now, "heartbeat timeout: no batch completion");
                     self.pipeline_down = true;
                 }
                 if self.pipeline_down {
@@ -294,14 +284,14 @@ impl Driver {
             }
 
             // Schedule while pipeline slots remain.
-            while self.in_flight < self.depth && !self.pipeline_down {
+            while !self.step.is_full() && !self.pipeline_down {
                 match self.schedule_once() {
                     Step::Continue => {}
                     Step::Idle => break,
                 }
             }
 
-            if self.shutting_down && self.in_flight == 0 {
+            if self.shutting_down && self.step.in_flight() == 0 {
                 break;
             }
         }
@@ -312,12 +302,8 @@ impl Driver {
         for h in self.links.handles.drain(..) {
             let _ = h.join();
         }
-        let drained = !self.pool.has_work();
-        DriverOutput {
-            recorder: self.recorder,
-            audit: self.auditor.map(|a| a.into_report(drained)),
-            trace: self.ptrace,
-        }
+        let (trace, audit) = self.step.finish();
+        DriverOutput { recorder: self.recorder, audit, trace }
     }
 
     /// Fold injector firings (wherever they happened — worker threads
@@ -325,15 +311,15 @@ impl Driver {
     fn drain_fault_log(&mut self) {
         for desc in self.injector.take_fired() {
             let now = self.now();
-            if let Some(a) = self.auditor.as_mut() {
+            if let Some(a) = self.step.auditor.as_mut() {
                 a.on_fault(now);
             }
-            self.ptrace.fault(now, &desc);
+            self.step.trace.fault(now, &desc);
         }
     }
 
     fn publish_snapshot(&mut self) {
-        if let Some(a) = self.auditor.as_ref() {
+        if let Some(a) = self.step.auditor.as_ref() {
             // Snapshot outside the critical section: the server reads this
             // mutex from another thread, so the guard should only span the
             // pointer-sized store, not the snapshot build.
@@ -347,32 +333,21 @@ impl Driver {
     fn on_submit(&mut self, r: GenRequest) {
         let now = self.now();
         self.recorder.on_arrival(r.id, now, r.prompt.len());
-        if let Some(a) = self.auditor.as_mut() {
-            a.on_arrival(r.id);
-        }
-        if r.prompt.is_empty()
-            || r.max_new == 0
-            || Tokens(r.prompt.len() + r.max_new) + self.kvm.block_size() > self.kvm.token_capacity()
-        {
-            if let Some(a) = self.auditor.as_mut() {
-                a.on_abort(r.id);
-            }
+        if !self.step.arrive(r.id, r.prompt.len(), r.max_new) {
             let _ = self.stream_tx.send(vec![StreamEvent::Rejected { seq: r.id }]);
             return;
         }
-        self.pool.add(r.id, r.prompt.len(), r.max_new);
         self.seqs.insert(r.id, SeqInfo { text: r.prompt, params: r.params });
     }
 
     fn on_result(&mut self, res: BatchResult) {
-        let Some(plan) = self.plans.remove(&res.batch) else {
+        let now = self.now();
+        let Some(outcome) = self.step.complete(now, res.batch) else {
             // A result for a batch we never scheduled (or already rolled
             // back): drop it rather than panicking; the auditor's
             // completion pairing will flag a genuine gap.
             return;
         };
-        let outcome = self.pool.complete(&plan);
-        let now = self.now();
         let token_of: HashMap<u64, u32> = res.tokens.into_iter().collect();
         let mut events = Vec::with_capacity(outcome.emitted.len());
         for e in &outcome.emitted {
@@ -380,7 +355,6 @@ impl Driver {
             self.recorder.on_token(e.seq, now);
             if e.finished {
                 self.recorder.on_finish(e.seq, now);
-                let _ = self.kvm.free(e.seq);
                 self.seqs.remove(&e.seq);
                 self.kv_retries.remove(&e.seq);
             } else if let Some(info) = self.seqs.get_mut(&e.seq) {
@@ -393,12 +367,7 @@ impl Driver {
         if !events.is_empty() {
             let _ = self.stream_tx.send(events);
         }
-        self.in_flight -= 1;
         self.last_progress = Instant::now();
-        self.ptrace.complete(now, res.batch, outcome.emitted.len(), outcome.finished.len());
-        if let Some(a) = self.auditor.as_mut() {
-            a.on_complete(now, res.batch, &outcome.finished, kv_obs(&self.kvm));
-        }
         self.publish_snapshot();
     }
 
@@ -407,19 +376,19 @@ impl Driver {
     /// pipeline keeps serving everyone else.
     fn fail_request(&mut self, seq: u64) {
         let now = self.now();
-        if self.kvm.contains(seq) {
-            let _ = self.kvm.evict(seq);
-            if let Some(a) = self.auditor.as_mut() {
+        if self.step.kv.contains(seq) {
+            let _ = self.step.kv.evict(seq);
+            if let Some(a) = self.step.auditor.as_mut() {
                 a.on_evict(seq);
             }
         }
-        if self.pool.seq(seq).is_some() {
-            self.pool.abort(seq);
+        if self.step.pool.seq(seq).is_some() {
+            self.step.pool.abort(seq);
         }
         self.seqs.remove(&seq);
         self.kv_retries.remove(&seq);
         self.injector.clear_kv_fault(seq);
-        if let Some(a) = self.auditor.as_mut() {
+        if let Some(a) = self.step.auditor.as_mut() {
             a.on_request_failed(now, seq);
         }
         self.publish_snapshot();
@@ -429,41 +398,25 @@ impl Driver {
     /// One scheduling attempt: plan, admit, commit, broadcast, execute
     /// stage 0, hand off (or finish inline on a single-stage pipeline).
     fn schedule_once(&mut self) -> Step {
-        let view = self.pool.view(
-            self.kvm.free_rate(),
-            self.kvm.free_blocks().to_tokens(self.kvm.block_size()),
-            self.kvm.block_size(),
-            self.depth,
-        );
-        let kv_before = kv_obs(&self.kvm);
-        let caps = self
-            .policy
-            .budget_caps(&view)
-            .map(|(prefill_tokens, decode_seqs)| PlanCaps { prefill_tokens, decode_seqs });
-        let proposed = self.policy.plan(&view);
+        let proposal = self.step.propose(self.policy.as_ref());
 
         // Injected KV-allocation failures surface here, where the real
         // reservation would happen: back off and retry the whole round
         // (bounded), then reject the victim request with a structured
         // event while everyone else keeps flowing.
-        let planned_seqs = proposed
+        let plan = proposal.plan();
+        let kv_victim = plan
             .prefill
             .iter()
             .map(|c| c.seq)
-            .chain(proposed.decode.iter().map(|d| d.seq));
-        let mut kv_victim = None;
-        for seq in planned_seqs {
-            if self.injector.kv_alloc_should_fail(seq) {
-                kv_victim = Some(seq);
-                break;
-            }
-        }
+            .chain(plan.decode.iter().map(|d| d.seq))
+            .find(|&seq| self.injector.kv_alloc_should_fail(seq));
         if let Some(victim) = kv_victim {
             self.drain_fault_log();
             let attempts = self.kv_retries.entry(victim).or_insert(0);
             *attempts += 1;
             if *attempts > self.max_kv_retries
-                && self.pool.seq(victim).is_some_and(|s| !s.is_in_flight())
+                && self.step.pool.seq(victim).is_some_and(|s| !s.is_in_flight())
             {
                 self.fail_request(victim);
                 return Step::Continue; // replan without the victim
@@ -471,71 +424,27 @@ impl Driver {
             return Step::Idle; // back off; retry next multiplexer turn
         }
 
-        let proposed_copy = self.auditor.as_ref().map(|_| proposed.clone());
-        let admission = admit(proposed, &mut self.pool, &mut self.kvm);
-        for &victim in &admission.preempted {
-            self.recorder.on_preemption(victim);
-            let now = self.now();
-            self.ptrace.preempt(now, victim);
-            if let Some(a) = self.auditor.as_mut() {
-                a.on_evict(victim);
-            }
-        }
-        let plan = admission.plan;
-        if plan.is_empty() {
-            if self.in_flight == 0 && self.pool.has_work() {
-                if let Some((victim, _)) = self.pool.preempt_stalled_waiting() {
-                    if self.kvm.contains(victim) {
-                        let _ = self.kvm.evict(victim);
-                    }
-                    self.recorder.on_preemption(victim);
-                    let now = self.now();
-                    self.ptrace.preempt(now, victim);
-                    if let Some(a) = self.auditor.as_mut() {
-                        a.on_evict(victim);
-                    }
-                    return Step::Continue;
-                }
-            }
-            return Step::Idle;
-        }
-        self.pool.commit(&plan);
-        let batch = self.next_batch;
-        let meta = match build_meta(batch, &plan, &self.pool, &self.kvm, &self.seqs) {
-            Ok(meta) => meta,
-            Err(e) => {
+        let (now, seqs) = (self.now(), &self.seqs);
+        let scheduled = self.step.schedule(proposal, &mut self.recorder, now, |id, plan, pool, kv| {
+            build_meta(id, plan, pool, kv, seqs)
+        });
+        let (batch, meta) = match scheduled {
+            Scheduled::Batch { id, prepared } => (id, prepared),
+            Scheduled::Unstalled => return Step::Continue,
+            Scheduled::Idle => return Step::Idle,
+            Scheduled::Rejected(e) => {
                 // The driver's own bookkeeping is inconsistent for this
-                // sequence (a committed chunk without KV or pool entry).
-                // Pre-fault-tolerance this was a panic; now the plan rolls
-                // back, the offending request fails with an audit
-                // violation on record, and the pipeline keeps serving.
-                self.pool.uncommit(&plan);
-                let now = self.now();
-                if let Some(a) = self.auditor.as_mut() {
-                    a.on_integrity_failure(now, Some(batch), e.to_string());
-                }
+                // sequence (a committed chunk without KV or pool entry):
+                // the step rolled the plan back and recorded an audit
+                // violation; the offending request fails and the pipeline
+                // keeps serving.
                 self.fail_request(e.seq);
                 return Step::Continue;
             }
         };
-        self.next_batch += 1;
-        let now = self.now();
-        if let (Some(a), Some(proposed)) = (self.auditor.as_mut(), proposed_copy.as_ref()) {
-            a.on_schedule(now, batch, proposed, &plan, caps, kv_before, kv_obs(&self.kvm));
-        }
         self.publish_snapshot();
-        self.ptrace.schedule(
-            now,
-            batch,
-            plan.prefill_tokens().get(),
-            plan.decode_tokens().get(),
-            plan.num_seqs(),
-        );
-        // Count the batch in flight *before* any send: if a worker died
-        // mid-broadcast, recovery must see this batch among the plans to
-        // roll back.
-        self.plans.insert(batch, plan);
-        self.in_flight += 1;
+        // The step counted the batch in flight before any send below: if a
+        // worker dies mid-broadcast, recovery rolls this batch back too.
         // Preemptive metadata: every worker learns the batch layout
         // before any activations move.
         for tx in &self.links.meta_txs {
@@ -549,7 +458,7 @@ impl Driver {
         let stage_start = self.now();
         let mut hidden = self.stage0.embed(&meta.chunks);
         self.stage0.forward(&meta.chunks, &tables, &mut hidden);
-        self.ptrace.stage(stage_start, self.now(), batch, 0);
+        self.step.trace.stage(stage_start, self.now(), batch, 0);
         if self.single_stage {
             // Driver is also the last stage: project, sample, complete.
             let logits = self.stage0.project(&meta.chunks, &hidden);
@@ -602,8 +511,8 @@ impl Driver {
     fn recover(&mut self) {
         self.recoveries += 1;
         let now = self.now();
-        self.ptrace.fault(now, "pipeline down: tearing down for recovery");
-        if let Some(a) = self.auditor.as_mut() {
+        self.step.trace.fault(now, "pipeline down: tearing down for recovery");
+        if let Some(a) = self.step.auditor.as_mut() {
             a.on_fault(now);
         }
 
@@ -621,30 +530,26 @@ impl Driver {
             self.on_result(res);
         }
         // 3. Roll back every batch that will never complete, oldest first.
-        let lost: Vec<BatchPlan> = std::mem::take(&mut self.plans).into_values().collect();
-        for plan in &lost {
-            self.pool.uncommit(plan);
-        }
-        self.in_flight = 0;
+        let lost = self.step.abandon_in_flight();
         // 4. All resident KV died with the stages that computed it.
-        let mut live = self.kvm.live_sequences();
+        let mut live = self.step.kv.live_sequences();
         live.sort_unstable();
         for seq in live {
-            let _ = self.kvm.evict(seq);
-            if let Some(a) = self.auditor.as_mut() {
+            let _ = self.step.kv.evict(seq);
+            if let Some(a) = self.step.auditor.as_mut() {
                 a.on_evict(seq);
             }
         }
-        let reset = self.pool.preempt_all_live();
+        let reset = self.step.pool.preempt_all_live();
         let now = self.now();
         for &seq in &reset {
             self.recorder.on_preemption(seq);
-            self.ptrace.preempt(now, seq);
+            self.step.trace.preempt(now, seq);
         }
-        if let Some(a) = self.auditor.as_mut() {
-            a.on_recovery(now, lost.len());
+        if let Some(a) = self.step.auditor.as_mut() {
+            a.on_recovery(now, lost);
         }
-        self.ptrace.recovery(now, lost.len(), reset.len());
+        self.step.trace.recovery(now, lost, reset.len());
         self.publish_snapshot();
 
         // 6. Bounded: past the limit, fail the open requests (the likely
@@ -663,12 +568,6 @@ impl Driver {
         self.pipeline_down = false;
         self.last_progress = Instant::now();
     }
-}
-
-/// Snapshot the KV manager for the auditor.
-fn kv_obs(kvm: &KvCacheManager) -> KvObservation {
-    let s = kvm.stats();
-    KvObservation { free_blocks: s.free_blocks, used_blocks: s.used_blocks }
 }
 
 /// A committed plan referenced state the driver does not actually hold —

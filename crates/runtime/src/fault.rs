@@ -450,12 +450,12 @@ mod tests {
             assert!(!a.is_empty());
             for f in &a.faults {
                 match *f {
-                    FaultKind::KillWorker { stage, .. } => assert!(stage >= 1 && stage < 3),
+                    FaultKind::KillWorker { stage, .. } => assert!((1..3).contains(&stage)),
                     FaultKind::DropActivation { from_stage, .. }
                     | FaultKind::DelayActivation { from_stage, .. } => assert!(from_stage < 2),
                     FaultKind::FailKvAlloc { seq, times } => {
                         assert!(seq < 4);
-                        assert!(times >= 1 && times <= 2, "must stay within retry budget");
+                        assert!((1..=2).contains(&times), "must stay within retry budget");
                     }
                 }
             }

@@ -264,12 +264,11 @@ impl Server {
             injector.clone(),
         );
         let links = spawner.spawn_downstream();
-        let kvm = KvCacheManager::new(Blocks(cfg.kv_blocks), Tokens(cfg.block_size));
         let audit_state = Arc::new(Mutex::new(None));
         let params = DriverParams {
             stage0,
             policy,
-            kvm,
+            kvm: KvCacheManager::new(Blocks(cfg.kv_blocks), Tokens(cfg.block_size)),
             req_rx,
             links,
             spawner,
@@ -580,10 +579,15 @@ mod tests {
     #[test]
     fn oversized_request_is_rejected() {
         let server = start(RuntimeConfig::tiny(1), Arc::new(TokenThrottle::default()));
-        // Capacity is 256 blocks × 4 = 1024 tokens.
-        let out = server.generate_all(vec![req(1, vec![1; 2000], 10), req(2, vec![1, 2, 3], 3)]).expect("runtime stalled");
+        // Capacity is 256 blocks × 4 = 1024 tokens. Request 3's size
+        // overflows `usize` (once a debug-build panic in the driver and a
+        // wrapped admission in release); the request after it is served.
+        let overflowing = req(3, vec![1, 2, 3], usize::MAX);
+        let reqs = vec![req(1, vec![1; 2000], 10), overflowing, req(2, vec![1, 2, 3], 3)];
+        let out = server.generate_all(reqs).expect("runtime stalled");
         server.shutdown();
         assert!(out[&1].is_empty(), "oversized request must be rejected");
+        assert!(out[&3].is_empty(), "overflowing request must be rejected");
         assert_eq!(out[&2].len(), 3);
     }
 

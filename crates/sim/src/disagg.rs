@@ -19,17 +19,18 @@
 //! disaggregated systems do when the decode side runs out of KV.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 
 use gllm_core::sarathi::SarathiServe;
 use gllm_core::throttle::TokenThrottle;
-use gllm_core::{admit, BatchPlan, RequestPool, SchedulePolicy};
+use gllm_core::{BatchOutcome, RequestPool, SchedulePolicy};
 use gllm_kvcache::{KvCacheManager, Tokens};
-use gllm_metrics::{BusyTracker, MetricsRecorder, TokenTrace};
-use gllm_model::{BatchWorkload, CostModel, PipelinePartition, SequenceChunk};
+use gllm_metrics::{BusyTracker, MetricsRecorder, Scheduled, SchedulerStep, TokenTrace};
+use gllm_model::{CostModel, PipelinePartition};
 use gllm_workload::Trace;
 
 use crate::deployment::Deployment;
-use crate::engine::{EngineConfig, ExecutionModel, SimOutput};
+use crate::engine::{EngineConfig, ExecutionModel, InFlightBatch, SimOutput};
 use crate::event::EventQueue;
 use crate::runtime_model::RuntimeModel;
 
@@ -57,28 +58,101 @@ enum DEvent {
     TransferDone { seq: u64 },
 }
 
-#[derive(Debug, Clone)]
-struct InFlightBatch {
-    plan: BatchPlan,
-    workload: BatchWorkload,
-    sampled: usize,
-    num_seqs: usize,
-}
-
+/// One side's scheduler (auditing and tracing off) and pipeline.
 struct PipeSide {
     exec: ExecutionModel,
     policy: Box<dyn SchedulePolicy>,
-    pool: RequestPool,
-    kv: KvCacheManager,
+    step: SchedulerStep,
     stage_busy: Vec<Option<u64>>,
     stage_queue: Vec<VecDeque<u64>>,
     batches: BTreeMap<u64, InFlightBatch>,
-    in_flight: usize,
     gpu_offset: usize,
 }
 
 const PREFILL: usize = 0;
 const DECODE: usize = 1;
+
+/// Both sides and the state they share: one event queue, clock and set
+/// of observers.
+struct Disagg<'a> {
+    sides: [PipeSide; 2],
+    runtime: RuntimeModel,
+    cfg: &'a EngineConfig,
+    events: EventQueue<DEvent>,
+    clock: f64,
+    recorder: MetricsRecorder,
+    token_trace: TokenTrace,
+    busy: BusyTracker,
+}
+
+impl Disagg<'_> {
+    fn start_stage(&mut self, side: usize, batch: u64, stage: usize, t: f64) {
+        let s = &mut self.sides[side];
+        let b = s.batches.get_mut(&batch).expect("known batch");
+        let dur = b.stage_duration(&s.exec, &self.runtime, stage, 1.0);
+        s.stage_busy[stage] = Some(batch);
+        if self.cfg.record_utilization {
+            self.busy.record(s.gpu_offset + stage, t, t + dur);
+        }
+        self.events.push(t + dur, DEvent::StageDone { side, batch, stage });
+    }
+
+    /// Schedule micro-batches on `side` while its stage 0 is free and
+    /// pipeline slots remain.
+    fn try_schedule(&mut self, side: usize) {
+        loop {
+            let s = &mut self.sides[side];
+            if s.step.is_full() || s.stage_busy[0].is_some() || !s.stage_queue[0].is_empty() {
+                return;
+            }
+            let proposal = s.step.propose(s.policy.as_ref());
+            let (now, recorder) = (self.clock, &mut self.recorder);
+            let token_trace = self.cfg.record_token_trace.then_some(&mut self.token_trace);
+            let scheduled = s.step.schedule(proposal, recorder, now, |_, plan, _, _| {
+                Ok::<_, Infallible>(InFlightBatch::new(plan, token_trace))
+            });
+            match scheduled {
+                Scheduled::Batch { id, prepared } => {
+                    s.batches.insert(id, prepared);
+                    self.start_stage(side, id, 0, self.clock + self.runtime.sched_overhead_s);
+                }
+                Scheduled::Unstalled => {}
+                Scheduled::Idle => return,
+                Scheduled::Rejected(never) => match never {},
+            }
+        }
+    }
+
+    fn on_batch_ready(&mut self, side: usize, batch: u64, stage: usize) {
+        let s = &mut self.sides[side];
+        if s.stage_busy[stage].is_none() && s.stage_queue[stage].is_empty() {
+            self.start_stage(side, batch, stage, self.clock);
+        } else {
+            s.stage_queue[stage].push_back(batch);
+        }
+    }
+
+    /// A stage finished `batch`: start the stage's next queued batch and
+    /// move `batch` on. Returns the completion outcome when `batch` left
+    /// the side's last stage.
+    fn on_stage_done(&mut self, side: usize, batch: u64, stage: usize) -> Option<BatchOutcome> {
+        let s = &mut self.sides[side];
+        debug_assert_eq!(s.stage_busy[stage], Some(batch));
+        s.stage_busy[stage] = None;
+        if let Some(next) = s.stage_queue[stage].pop_front() {
+            self.start_stage(side, next, stage, self.clock);
+        }
+        let s = &mut self.sides[side];
+        if stage + 1 < s.exec.stage_count() {
+            let comm = s.batches.get_mut(&batch).expect("known batch").comm_time(&s.exec);
+            let ready = DEvent::BatchReady { side, batch, stage: stage + 1 };
+            self.events.push(self.clock + comm, ready);
+            return None;
+        }
+        s.batches.remove(&batch);
+        Some(s.step.complete(self.clock, batch).expect("known batch"))
+    }
+}
 
 /// Run `trace` on a disaggregated deployment of `deployment.model` over
 /// `deployment.cluster`'s GPU type/link, split per `cfg`.
@@ -95,7 +169,6 @@ pub fn simulate_disaggregated(
         "split must use the whole cluster"
     );
     let model = &deployment.model;
-    let runtime = RuntimeModel::gllm();
 
     let make_side = |gpus: usize, policy: Box<dyn SchedulePolicy>, offset: usize| {
         let partition = PipelinePartition::even(model.num_layers, gpus);
@@ -108,26 +181,44 @@ pub fn simulate_disaggregated(
             link: cluster.link.clone(),
         };
         let stages = exec.stage_count();
-        PipeSide {
-            exec,
-            policy,
-            pool: RequestPool::new(deployment.max_seqs_per_batch),
-            kv: KvCacheManager::from_token_capacity(
+        let step = SchedulerStep::new(
+            RequestPool::new(deployment.max_seqs_per_batch),
+            KvCacheManager::from_token_capacity(
                 Tokens(kv_tokens.max(1)),
                 Tokens(deployment.block_size),
             ),
+            exec.scheduler_depth(),
+            false,
+            false,
+        );
+        PipeSide {
+            exec,
+            policy,
+            step,
             stage_busy: vec![None; stages],
             stage_queue: vec![VecDeque::new(); stages],
             batches: BTreeMap::new(),
-            in_flight: 0,
             gpu_offset: offset,
         }
     };
 
-    let mut sides = [
-        make_side(cfg.prefill_gpus, Box::<SarathiServe>::default(), 0),
-        make_side(cfg.decode_gpus, Box::<TokenThrottle>::default(), cfg.prefill_gpus),
-    ];
+    let mut events: EventQueue<DEvent> = EventQueue::new();
+    for (i, r) in trace.requests.iter().enumerate() {
+        events.push(r.arrival_s, DEvent::Arrival { trace_index: i });
+    }
+    let mut d = Disagg {
+        sides: [
+            make_side(cfg.prefill_gpus, Box::<SarathiServe>::default(), 0),
+            make_side(cfg.decode_gpus, Box::<TokenThrottle>::default(), cfg.prefill_gpus),
+        ],
+        runtime: RuntimeModel::gllm(),
+        cfg: engine_cfg,
+        events,
+        clock: 0.0,
+        recorder: MetricsRecorder::new(),
+        token_trace: TokenTrace::new(),
+        busy: BusyTracker::new(deployment.cluster.num_gpus),
+    };
 
     // Request book-keeping: (prompt_len, max_output) by id, and the KV
     // transfer cost between the clusters.
@@ -137,270 +228,75 @@ pub fn simulate_disaggregated(
         .map(|r| (r.id, (r.prompt_len, r.output_len)))
         .collect();
     let kv_bytes_per_token = model.kv_bytes_per_token();
-
-    let mut events: EventQueue<DEvent> = EventQueue::new();
-    for (i, r) in trace.requests.iter().enumerate() {
-        events.push(r.arrival_s, DEvent::Arrival { trace_index: i });
-    }
-
-    let mut recorder = MetricsRecorder::new();
-    let mut token_trace = TokenTrace::new();
-    let mut busy = BusyTracker::new(deployment.cluster.num_gpus);
     let mut pending_admits: VecDeque<u64> = VecDeque::new();
-    let mut clock = 0.0f64;
-    let mut next_batch = 0u64;
-    let mut sched_iterations = 0usize;
-    let mut preemptions = 0u64;
     let mut aborted = 0usize;
 
-    // --- helpers as closures are borrow-hostile; use macros-by-fn style ---
-    #[allow(clippy::too_many_arguments)]
-    fn start_stage(
-        side: &mut PipeSide,
-        runtime: &RuntimeModel,
-        events: &mut EventQueue<DEvent>,
-        busy: &mut BusyTracker,
-        record_util: bool,
-        side_idx: usize,
-        batch: u64,
-        stage: usize,
-        t: f64,
-    ) {
-        let b = &side.batches[&batch];
-        let dur = side.exec.stage_time(stage, &b.workload, b.sampled)
-            + runtime.stage_overhead(b.num_seqs);
-        side.stage_busy[stage] = Some(batch);
-        if record_util {
-            busy.record(side.gpu_offset + stage, t, t + dur);
-        }
-        events.push(t + dur, DEvent::StageDone { side: side_idx, batch, stage });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_schedule(
-        side: &mut PipeSide,
-        runtime: &RuntimeModel,
-        events: &mut EventQueue<DEvent>,
-        busy: &mut BusyTracker,
-        recorder: &mut MetricsRecorder,
-        token_trace: &mut TokenTrace,
-        engine_cfg: &EngineConfig,
-        side_idx: usize,
-        clock: f64,
-        next_batch: &mut u64,
-        sched_iterations: &mut usize,
-        preemptions: &mut u64,
-    ) {
-        loop {
-            if side.in_flight >= side.exec.scheduler_depth()
-                || side.stage_busy[0].is_some()
-                || !side.stage_queue[0].is_empty()
-            {
-                return;
-            }
-            let view = side.pool.view(
-                side.kv.free_rate(),
-                side.kv.free_blocks().to_tokens(side.kv.block_size()),
-                side.kv.block_size(),
-                side.exec.scheduler_depth(),
-            );
-            let admission = admit(side.policy.plan(&view), &mut side.pool, &mut side.kv);
-            for &victim in &admission.preempted {
-                recorder.on_preemption(victim);
-                *preemptions += 1;
-            }
-            let plan = admission.plan;
-            if plan.is_empty() {
-                if side.in_flight == 0 && side.pool.has_work() {
-                    if let Some((victim, _)) = side.pool.preempt_stalled_waiting() {
-                        if side.kv.contains(victim) {
-                            side.kv.evict(victim).expect("victim held KV");
-                        }
-                        recorder.on_preemption(victim);
-                        *preemptions += 1;
-                        continue;
-                    }
-                }
-                return;
-            }
-            side.pool.commit(&plan);
-            if engine_cfg.record_token_trace {
-                token_trace.record(plan.prefill_tokens().get(), plan.decode_tokens().get());
-            }
-            *sched_iterations += 1;
-            let workload = BatchWorkload {
-                prefill: plan
-                    .prefill
-                    .iter()
-                    .map(|c| SequenceChunk::prefill(c.tokens.get(), c.context_before.get()))
-                    .collect(),
-                decode: plan
-                    .decode
-                    .iter()
-                    .map(|d| SequenceChunk::decode(d.context_before.get()))
-                    .collect(),
-            };
-            let sampled =
-                plan.decode.len() + plan.prefill.iter().filter(|c| c.completes_prompt).count();
-            let num_seqs = plan.num_seqs();
-            let id = *next_batch;
-            *next_batch += 1;
-            side.batches.insert(id, InFlightBatch { plan, workload, sampled, num_seqs });
-            side.in_flight += 1;
-            start_stage(
-                side,
-                runtime,
-                events,
-                busy,
-                engine_cfg.record_utilization,
-                side_idx,
-                id,
-                0,
-                clock + runtime.sched_overhead_s,
-            );
-        }
-    }
-
-    macro_rules! schedule_side {
-        ($idx:expr) => {
-            try_schedule(
-                &mut sides[$idx],
-                &runtime,
-                &mut events,
-                &mut busy,
-                &mut recorder,
-                &mut token_trace,
-                engine_cfg,
-                $idx,
-                clock,
-                &mut next_batch,
-                &mut sched_iterations,
-                &mut preemptions,
-            )
-        };
-    }
-
-    while let Some((t, ev)) = events.pop() {
+    while let Some((t, ev)) = d.events.pop() {
         if t > engine_cfg.max_sim_time_s {
             break;
         }
-        clock = t;
+        d.clock = t;
         match ev {
             DEvent::Arrival { trace_index } => {
                 let r = &trace.requests[trace_index];
-                recorder.on_arrival(r.id, clock, r.prompt_len);
-                let fits_prefill = Tokens(r.prompt_len + deployment.block_size)
-                    <= sides[PREFILL].kv.token_capacity();
-                let fits_decode = Tokens(r.total_tokens() + deployment.block_size)
-                    <= sides[DECODE].kv.token_capacity();
-                if !fits_prefill || !fits_decode {
+                d.recorder.on_arrival(r.id, t, r.prompt_len);
+                // The prefill side runs each request to its first token
+                // only; the decode side must hold its whole context.
+                if !d.sides[DECODE].step.fits(r.prompt_len, r.output_len)
+                    || !d.sides[PREFILL].step.arrive(r.id, r.prompt_len, 1)
+                {
                     aborted += 1;
                     continue;
                 }
-                // Prefill side runs each request to its first token only.
-                sides[PREFILL].pool.add(r.id, r.prompt_len, 1);
-                schedule_side!(PREFILL);
+                d.try_schedule(PREFILL);
             }
-            DEvent::BatchReady { side, batch, stage } => {
-                let s = &mut sides[side];
-                if s.stage_busy[stage].is_none() && s.stage_queue[stage].is_empty() {
-                    start_stage(
-                        s,
-                        &runtime,
-                        &mut events,
-                        &mut busy,
-                        engine_cfg.record_utilization,
-                        side,
-                        batch,
-                        stage,
-                        clock,
-                    );
-                } else {
-                    s.stage_queue[stage].push_back(batch);
-                }
-            }
+            DEvent::BatchReady { side, batch, stage } => d.on_batch_ready(side, batch, stage),
             DEvent::StageDone { side, batch, stage } => {
-                {
-                    let s = &mut sides[side];
-                    debug_assert_eq!(s.stage_busy[stage], Some(batch));
-                    s.stage_busy[stage] = None;
-                    if let Some(next) = s.stage_queue[stage].pop_front() {
-                        start_stage(
-                            s,
-                            &runtime,
-                            &mut events,
-                            &mut busy,
-                            engine_cfg.record_utilization,
-                            side,
-                            next,
-                            stage,
-                            clock,
-                        );
+                if let Some(outcome) = d.on_stage_done(side, batch, stage) {
+                    for e in &outcome.emitted {
+                        d.recorder.on_token(e.seq, t);
                     }
-                }
-                let stage_count = sides[side].exec.stage_count();
-                if stage + 1 < stage_count {
-                    let comm = {
-                        let s = &sides[side];
-                        s.exec.comm_time(&s.batches[&batch].workload)
-                    };
-                    events.push(clock + comm, DEvent::BatchReady { side, batch, stage: stage + 1 });
-                } else {
-                    // Batch complete on this side.
-                    let b = sides[side].batches.remove(&batch).expect("known batch");
-                    let outcome = sides[side].pool.complete(&b.plan);
-                    sides[side].in_flight -= 1;
                     if side == PREFILL {
                         // Finishing on the prefill side = first token out,
                         // then ship the KV to the decode cluster.
-                        for e in &outcome.emitted {
-                            debug_assert!(e.finished, "prefill side runs to first token");
-                            recorder.on_token(e.seq, clock);
-                        }
+                        debug_assert!(outcome.emitted.iter().all(|e| e.finished));
                         for &seq in &outcome.finished {
                             let (prompt_len, _) = req_info[&seq];
-                            sides[PREFILL].kv.free(seq).expect("prefill KV present");
                             let bytes = prompt_len as u64 * kv_bytes_per_token;
                             let dt = deployment.cluster.link.p2p_time(bytes);
-                            events.push(clock + dt, DEvent::TransferDone { seq });
+                            d.events.push(t + dt, DEvent::TransferDone { seq });
                         }
-                        schedule_side!(PREFILL);
                     } else {
-                        for e in &outcome.emitted {
-                            recorder.on_token(e.seq, clock);
-                        }
                         for &seq in &outcome.finished {
-                            recorder.on_finish(seq, clock);
-                            sides[DECODE].kv.free(seq).expect("decode KV present");
+                            d.recorder.on_finish(seq, t);
                         }
                         // Freed KV may unblock queued transfers.
                         while let Some(&seq) = pending_admits.front() {
                             let (prompt_len, max_output) = req_info[&seq];
-                            if !sides[DECODE].kv.can_append(seq, Tokens(prompt_len)) {
+                            let step = &mut d.sides[DECODE].step;
+                            if !admit_transferred(step, seq, prompt_len, max_output) {
                                 break;
                             }
                             pending_admits.pop_front();
-                            sides[DECODE].kv.append(seq, Tokens(prompt_len)).expect("checked");
-                            sides[DECODE].pool.add_decoding(seq, prompt_len, 1, max_output);
                         }
-                        schedule_side!(DECODE);
                     }
+                    d.try_schedule(side);
                 }
                 if stage == 0 {
-                    schedule_side!(side);
+                    d.try_schedule(side);
                 }
             }
             DEvent::TransferDone { seq } => {
                 let (prompt_len, max_output) = req_info[&seq];
                 if max_output <= 1 {
                     // Single-token request: already complete at prefill.
-                    recorder.on_finish(seq, clock);
+                    d.recorder.on_finish(seq, t);
                     continue;
                 }
-                if sides[DECODE].kv.can_append(seq, Tokens(prompt_len)) && pending_admits.is_empty() {
-                    sides[DECODE].kv.append(seq, Tokens(prompt_len)).expect("checked");
-                    sides[DECODE].pool.add_decoding(seq, prompt_len, 1, max_output);
-                    schedule_side!(DECODE);
+                if pending_admits.is_empty()
+                    && admit_transferred(&mut d.sides[DECODE].step, seq, prompt_len, max_output)
+                {
+                    d.try_schedule(DECODE);
                 } else {
                     pending_admits.push_back(seq);
                 }
@@ -408,24 +304,37 @@ pub fn simulate_disaggregated(
         }
     }
 
-    let unfinished = sides[PREFILL].pool.unfinished_count()
-        + sides[DECODE].pool.unfinished_count()
-        + pending_admits.len();
-    let used_rate = |s: &PipeSide| s.kv.free_rate();
-    let final_kv_free_rate = used_rate(&sides[PREFILL]).min(used_rate(&sides[DECODE]));
+    let [prefill, decode] = d.sides.map(|s| s.step);
     SimOutput {
-        recorder,
-        token_trace,
-        busy,
-        end_time_s: clock,
-        sched_iterations,
-        preemptions,
+        recorder: d.recorder,
+        token_trace: d.token_trace,
+        busy: d.busy,
+        end_time_s: d.clock,
+        sched_iterations: (prefill.batches() + decode.batches()) as usize,
+        preemptions: prefill.preemptions() + decode.preemptions(),
         aborted,
-        unfinished,
-        final_kv_free_rate,
+        unfinished: prefill.pool.unfinished_count()
+            + decode.pool.unfinished_count()
+            + pending_admits.len(),
+        final_kv_free_rate: prefill.kv.free_rate().min(decode.kv.free_rate()),
         trace: gllm_metrics::PipelineTrace::default(),
         audit: None,
     }
+}
+
+/// Admit a sequence whose prompt KV arrived from the prefill side, if the
+/// decode side has room for it.
+fn admit_transferred(
+    step: &mut SchedulerStep,
+    seq: u64,
+    prompt_len: usize,
+    max_output: usize,
+) -> bool {
+    if step.kv.append(seq, Tokens(prompt_len)).is_err() {
+        return false;
+    }
+    step.pool.add_decoding(seq, prompt_len, 1, max_output);
+    true
 }
 
 #[cfg(test)]

@@ -19,12 +19,13 @@
 //! every simulation bit-reproducible.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 
-use gllm_core::{admit, BatchPlan, RequestPool, SchedulePolicy};
+use gllm_core::{BatchPlan, RequestPool, SchedulePolicy};
 use gllm_kvcache::{Blocks, KvCacheManager, Tokens};
 use gllm_metrics::{
-    AuditReport, BusyTracker, InvariantAuditor, KvObservation, MetricsRecorder, PipelineTrace,
-    PlanCaps, TokenTrace,
+    AuditReport, BusyTracker, MetricsRecorder, PipelineTrace, Scheduled, SchedulerStep,
+    TokenTrace,
 };
 use gllm_model::{
     BatchWorkload, CostModel, LinkSpec, PipelinePartition, SequenceChunk, StageTimeCache,
@@ -63,19 +64,6 @@ pub struct EngineConfig {
     /// stage / comm / complete / preempt) for Chrome-trace export. Off by
     /// default: stage-level spans are bulky on long runs.
     pub record_pipeline_trace: bool,
-    /// Memoize per-(layers, lm-head) stage times and the activation
-    /// transfer time within each in-flight micro-batch
-    /// ([`gllm_model::StageTimeCache`]). Bit-identical to the direct path
-    /// by construction (a hit replays the first evaluation's exact result);
-    /// the switch exists so the perf harness can time the unmemoized
-    /// baseline and tests can assert the equivalence end-to-end.
-    pub memoize_costs: bool,
-    /// Use the pool's optimized scheduler data paths (direct map-walk
-    /// views, O(1) live count, single-probe KV admission). Bit-identical
-    /// to the legacy paths by construction; like `memoize_costs`, the
-    /// switch exists so the perf harness can time the unoptimized baseline
-    /// and tests can assert the equivalence end-to-end.
-    pub fast_scheduler: bool,
 }
 
 impl Default for EngineConfig {
@@ -88,8 +76,6 @@ impl Default for EngineConfig {
             stage_slowdown: Vec::new(),
             audit: true,
             record_pipeline_trace: false,
-            memoize_costs: true,
-            fast_scheduler: true,
         }
     }
 }
@@ -142,22 +128,11 @@ impl ExecutionModel {
     }
 
     /// Execution time of `batch` on `stage` (`sampled` tokens hit the LM
-    /// head on the final stage).
-    pub fn stage_time(&self, stage: usize, batch: &BatchWorkload, sampled: usize) -> f64 {
-        match self {
-            ExecutionModel::Pipeline { cost, partition, .. } => {
-                let lm_head = if stage + 1 == partition.depth() { sampled } else { 0 };
-                cost.stage_forward_time(partition.layers_of(stage), batch, lm_head)
-            }
-            ExecutionModel::Tensor { cost, tp, link } => cost.tp_forward_time(batch, *tp, link),
-        }
-    }
-
-    /// [`Self::stage_time`] memoized through `cache`. The cache must be
-    /// dedicated to this `(execution model, batch)` pair — the engine keeps
-    /// one per in-flight micro-batch. Tensor execution has a single stage
-    /// (one evaluation per batch), so it bypasses the cache.
-    pub fn stage_time_memo(
+    /// head on the final stage), memoized through `cache`. The cache must
+    /// be dedicated to this `(execution model, batch)` pair — the engine
+    /// keeps one per in-flight micro-batch. Tensor execution has a single
+    /// stage (one evaluation per batch), so it bypasses the cache.
+    pub fn stage_time(
         &self,
         stage: usize,
         batch: &BatchWorkload,
@@ -169,7 +144,7 @@ impl ExecutionModel {
                 let lm_head = if stage + 1 == partition.depth() { sampled } else { 0 };
                 cache.stage_forward_time(cost, partition.layers_of(stage), batch, lm_head)
             }
-            ExecutionModel::Tensor { .. } => self.stage_time(stage, batch, sampled),
+            ExecutionModel::Tensor { cost, tp, link } => cost.tp_forward_time(batch, *tp, link),
         }
     }
 
@@ -194,9 +169,10 @@ impl ExecutionModel {
 
 /// A micro-batch travelling through the pipeline.
 #[derive(Debug, Clone)]
-struct InFlightBatch {
-    plan: BatchPlan,
+pub(crate) struct InFlightBatch {
     workload: BatchWorkload,
+    /// Tokens sampled on the last stage: every decode, plus each prefill
+    /// chunk that completes its prompt.
     sampled: usize,
     num_seqs: usize,
     /// Per-batch stage-time memo (the workload is frozen at schedule time,
@@ -205,6 +181,42 @@ struct InFlightBatch {
     /// Activation-transfer time, evaluated once on the first inter-stage
     /// hop (identical for every hop of this batch).
     comm_s: Option<f64>,
+}
+
+impl InFlightBatch {
+    /// The batch of a committed plan, recording its token composition in
+    /// `token_trace` when given.
+    pub(crate) fn new(plan: &BatchPlan, token_trace: Option<&mut TokenTrace>) -> Self {
+        if let Some(t) = token_trace {
+            t.record(plan.prefill_tokens().get(), plan.decode_tokens().get());
+        }
+        Self {
+            workload: to_workload(plan),
+            sampled: plan.decode.len() + plan.prefill.iter().filter(|c| c.completes_prompt).count(),
+            num_seqs: plan.num_seqs(),
+            stage_times: StageTimeCache::new(),
+            comm_s: None,
+        }
+    }
+
+    /// Wall time of this batch on `stage` of `exec`: the (memoized)
+    /// execution time stretched by `slowdown`, plus the runtime's
+    /// per-stage overhead.
+    pub(crate) fn stage_duration(
+        &mut self,
+        exec: &ExecutionModel,
+        runtime: &RuntimeModel,
+        stage: usize,
+        slowdown: f64,
+    ) -> f64 {
+        let raw = exec.stage_time(stage, &self.workload, self.sampled, &mut self.stage_times);
+        raw * slowdown + runtime.stage_overhead(self.num_seqs)
+    }
+
+    /// Activation-transfer time between consecutive stages (memoized).
+    pub(crate) fn comm_time(&mut self, exec: &ExecutionModel) -> f64 {
+        *self.comm_s.get_or_insert_with(|| exec.comm_time(&self.workload))
+    }
 }
 
 /// Raw results of one simulation.
@@ -247,22 +259,15 @@ pub struct SimEngine<'a> {
 
     clock: f64,
     events: EventQueue,
-    pool: RequestPool,
-    kv: KvCacheManager,
+    step: SchedulerStep,
 
     stage_busy: Vec<Option<u64>>,
     stage_queue: Vec<VecDeque<u64>>,
     batches: BTreeMap<u64, InFlightBatch>,
-    next_batch_id: u64,
-    in_flight: usize,
 
     recorder: MetricsRecorder,
     token_trace: TokenTrace,
     busy: BusyTracker,
-    ptrace: PipelineTrace,
-    auditor: Option<InvariantAuditor>,
-    sched_iterations: usize,
-    preemptions: u64,
     aborted: usize,
 }
 
@@ -281,13 +286,13 @@ impl<'a> SimEngine<'a> {
     ) -> Self {
         let stages = exec.stage_count();
         let num_gpus = exec.num_gpus();
-        let enable_cpp = cfg.enable_cpp;
-        let auditor = cfg
-            .audit
-            .then(|| {
-                InvariantAuditor::new(Blocks(kv_blocks), Tokens(block_size), exec.scheduler_depth())
-            });
-        let ptrace = PipelineTrace::new(cfg.record_pipeline_trace);
+        let step = SchedulerStep::new(
+            RequestPool::new(max_seqs_per_batch).with_cpp(cfg.enable_cpp),
+            KvCacheManager::new(Blocks(kv_blocks), Tokens(block_size)),
+            exec.scheduler_depth(),
+            cfg.audit,
+            cfg.record_pipeline_trace,
+        );
         // Pre-size the hot buffers: the queue is seeded with one arrival
         // per request (plus a small in-flight margin), and each request
         // contributes roughly one token-trace point / stage interval per
@@ -313,22 +318,13 @@ impl<'a> SimEngine<'a> {
             cfg,
             clock: 0.0,
             events,
-            pool: RequestPool::new(max_seqs_per_batch)
-                .with_cpp(enable_cpp)
-                .with_fast_path(cfg.fast_scheduler),
-            kv: KvCacheManager::new(Blocks(kv_blocks), Tokens(block_size)),
+            step,
             stage_busy: vec![None; stages],
             stage_queue: vec![VecDeque::new(); stages],
             batches: BTreeMap::new(),
-            next_batch_id: 0,
-            in_flight: 0,
             recorder: MetricsRecorder::new(),
             token_trace,
             busy,
-            ptrace,
-            auditor,
-            sched_iterations: 0,
-            preemptions: 0,
             aborted: 0,
         }
     }
@@ -350,44 +346,34 @@ impl<'a> SimEngine<'a> {
                 Event::StageDone { batch, stage } => self.on_stage_done(batch, stage),
             }
         }
-        let unfinished = self.pool.unfinished_count();
+        let step = self.step;
+        let (unfinished, final_kv_free_rate) = (step.pool.unfinished_count(), step.kv.free_rate());
+        let (sched_iterations, preemptions) = (step.batches() as usize, step.preemptions());
+        let (trace, audit) = step.finish();
         SimOutput {
             recorder: self.recorder,
             token_trace: self.token_trace,
             busy: self.busy,
             end_time_s: self.clock,
-            sched_iterations: self.sched_iterations,
-            preemptions: self.preemptions,
+            sched_iterations,
+            preemptions,
             aborted: self.aborted,
             unfinished,
-            final_kv_free_rate: self.kv.free_rate(),
-            trace: self.ptrace,
-            audit: self.auditor.map(|a| a.into_report(unfinished == 0)),
+            final_kv_free_rate,
+            trace,
+            audit,
         }
-    }
-
-    /// Current KV occupancy as the auditor's observation.
-    fn kv_obs(&self) -> KvObservation {
-        let s = self.kv.stats();
-        KvObservation { free_blocks: s.free_blocks, used_blocks: s.used_blocks }
     }
 
     fn on_arrival(&mut self, trace_index: usize) {
         let r = &self.trace.requests[trace_index];
         self.recorder.on_arrival(r.id, self.clock, r.prompt_len);
-        if let Some(a) = self.auditor.as_mut() {
-            a.on_arrival(r.id);
-        }
         // A request whose full context can never fit is rejected up front
         // (a real engine would return an error to the client).
-        if Tokens(r.total_tokens()) + self.kv.block_size() > self.kv.token_capacity() {
+        if !self.step.arrive(r.id, r.prompt_len, r.output_len) {
             self.aborted += 1;
-            if let Some(a) = self.auditor.as_mut() {
-                a.on_abort(r.id);
-            }
             return;
         }
-        self.pool.add(r.id, r.prompt_len, r.output_len);
         self.try_schedule();
     }
 
@@ -406,22 +392,9 @@ impl<'a> SimEngine<'a> {
             self.start_stage(next, stage, self.clock);
         }
         if stage + 1 < self.exec.stage_count() {
-            let comm = {
-                let b = self.batches.get_mut(&batch).expect("unknown batch in transit");
-                if self.cfg.memoize_costs {
-                    match b.comm_s {
-                        Some(c) => c,
-                        None => {
-                            let c = self.exec.comm_time(&b.workload);
-                            b.comm_s = Some(c);
-                            c
-                        }
-                    }
-                } else {
-                    self.exec.comm_time(&b.workload)
-                }
-            };
-            self.ptrace.comm(self.clock, self.clock + comm, batch, stage);
+            let b = self.batches.get_mut(&batch).expect("unknown batch in transit");
+            let comm = b.comm_time(&self.exec);
+            self.step.trace.comm(self.clock, self.clock + comm, batch, stage);
             self.events
                 .push(self.clock + comm, Event::BatchReady { batch, stage: stage + 1 });
         } else {
@@ -437,12 +410,7 @@ impl<'a> SimEngine<'a> {
         let (dur, gpus) = {
             let b = self.batches.get_mut(&batch).expect("unknown batch started");
             let slow = self.cfg.stage_slowdown.get(stage).copied().unwrap_or(1.0);
-            let raw = if self.cfg.memoize_costs {
-                self.exec.stage_time_memo(stage, &b.workload, b.sampled, &mut b.stage_times)
-            } else {
-                self.exec.stage_time(stage, &b.workload, b.sampled)
-            };
-            let dur = raw * slow + self.runtime.stage_overhead(b.num_seqs);
+            let dur = b.stage_duration(&self.exec, &self.runtime, stage, slow);
             (dur, self.exec.busy_gpus(stage))
         };
         self.stage_busy[stage] = Some(batch);
@@ -451,27 +419,18 @@ impl<'a> SimEngine<'a> {
                 self.busy.record(g, t, t + dur);
             }
         }
-        self.ptrace.stage(t, t + dur, batch, stage);
+        self.step.trace.stage(t, t + dur, batch, stage);
         self.events.push(t + dur, Event::StageDone { batch, stage });
     }
 
     fn complete_batch(&mut self, batch: u64) {
-        let b = self.batches.remove(&batch).expect("unknown batch completed");
-        let outcome = self.pool.complete(&b.plan);
+        self.batches.remove(&batch);
+        let outcome = self.step.complete(self.clock, batch).expect("unknown batch completed");
         for e in &outcome.emitted {
             self.recorder.on_token(e.seq, self.clock);
         }
         for &id in &outcome.finished {
             self.recorder.on_finish(id, self.clock);
-            self.kv.free(id).expect("finished sequence had KV");
-        }
-        self.in_flight -= 1;
-        self.ptrace
-            .complete(self.clock, batch, outcome.emitted.len(), outcome.finished.len());
-        if let Some(a) = self.auditor.as_mut() {
-            let s = self.kv.stats();
-            let after = KvObservation { free_blocks: s.free_blocks, used_blocks: s.used_blocks };
-            a.on_complete(self.clock, batch, &outcome.finished, after);
         }
         self.try_schedule();
     }
@@ -479,108 +438,27 @@ impl<'a> SimEngine<'a> {
     /// Schedule micro-batches while stage 0 is free and pipeline slots
     /// remain — the paper's driver-worker loop.
     fn try_schedule(&mut self) {
-        loop {
-            if self.in_flight >= self.exec.scheduler_depth()
-                || self.stage_busy[0].is_some()
-                || !self.stage_queue[0].is_empty()
-            {
-                return;
-            }
-            let view = self.pool.view(
-                self.kv.free_rate(),
-                self.kv.free_blocks().to_tokens(self.kv.block_size()),
-                self.kv.block_size(),
-                self.exec.scheduler_depth(),
-            );
-            let kv_before = self.kv_obs();
-            let caps = self
-                .policy
-                .budget_caps(&view)
-                .map(|(prefill_tokens, decode_seqs)| PlanCaps { prefill_tokens, decode_seqs });
-            let proposed = self.policy.plan(&view);
-            let proposed_copy = self.auditor.as_ref().map(|_| proposed.clone());
-            let admission = admit(proposed, &mut self.pool, &mut self.kv);
-            for &victim in &admission.preempted {
-                self.recorder.on_preemption(victim);
-                self.preemptions += 1;
-                self.ptrace.preempt(self.clock, victim);
-                if let Some(a) = self.auditor.as_mut() {
-                    a.on_evict(victim);
+        while !self.step.is_full()
+            && self.stage_busy[0].is_none()
+            && self.stage_queue[0].is_empty()
+        {
+            let proposal = self.step.propose(self.policy);
+            let (now, record_tokens) = (self.clock, self.cfg.record_token_trace);
+            let token_trace = &mut self.token_trace;
+            let scheduled = self.step.schedule(proposal, &mut self.recorder, now, |_, plan, _, _| {
+                Ok::<_, Infallible>(InFlightBatch::new(plan, record_tokens.then_some(token_trace)))
+            });
+            match scheduled {
+                Scheduled::Batch { id, prepared } => {
+                    self.batches.insert(id, prepared);
+                    self.start_stage(id, 0, self.clock + self.runtime.sched_overhead_s);
                 }
+                Scheduled::Unstalled => {}
+                Scheduled::Idle => return,
+                Scheduled::Rejected(never) => match never {},
             }
-            let plan = admission.plan;
-            if plan.is_empty() {
-                // Stall breaker: with nothing in flight and work remaining,
-                // force a waiting sequence to give its KV back so the head
-                // of the line can progress (bounded: each eviction frees
-                // > 0 tokens).
-                if self.in_flight == 0 && self.pool.has_work() {
-                    if let Some((victim, _)) = self.pool.preempt_stalled_waiting() {
-                        if self.kv.contains(victim) {
-                            self.kv.evict(victim).expect("victim held KV");
-                        }
-                        self.recorder.on_preemption(victim);
-                        self.preemptions += 1;
-                        self.ptrace.preempt(self.clock, victim);
-                        if let Some(a) = self.auditor.as_mut() {
-                            a.on_evict(victim);
-                        }
-                        continue;
-                    }
-                }
-                return;
-            }
-            self.pool.commit(&plan);
-            if self.cfg.record_token_trace {
-                self.token_trace
-                    .record(plan.prefill_tokens().get(), plan.decode_tokens().get());
-            }
-            self.sched_iterations += 1;
-            if let (Some(a), Some(proposed)) = (self.auditor.as_mut(), proposed_copy.as_ref()) {
-                let after = KvObservation {
-                    free_blocks: self.kv.free_blocks(),
-                    used_blocks: self.kv.stats().used_blocks,
-                };
-                a.on_schedule(
-                    self.clock,
-                    self.next_batch_id,
-                    proposed,
-                    &plan,
-                    caps,
-                    kv_before,
-                    after,
-                );
-            }
-            self.ptrace.schedule(
-                self.clock,
-                self.next_batch_id,
-                plan.prefill_tokens().get(),
-                plan.decode_tokens().get(),
-                plan.num_seqs(),
-            );
-
-            let workload = to_workload(&plan);
-            let sampled = plan.decode.len()
-                + plan.prefill.iter().filter(|c| c.completes_prompt).count();
-            let num_seqs = plan.num_seqs();
-            let id = self.next_batch_id;
-            self.next_batch_id += 1;
-            self.batches.insert(
-                id,
-                InFlightBatch {
-                    plan,
-                    workload,
-                    sampled,
-                    num_seqs,
-                    stage_times: StageTimeCache::new(),
-                    comm_s: None,
-                },
-            );
-            self.in_flight += 1;
-            self.start_stage(id, 0, self.clock + self.runtime.sched_overhead_s);
         }
     }
-
 }
 
 /// Convert a committed plan into the cost model's batch description.
@@ -691,9 +569,9 @@ mod tests {
                 Event::StageDone { batch, stage } => engine.on_stage_done(batch, stage),
             }
         }
-        assert!(!engine.pool.has_work());
-        assert_eq!(engine.kv.free_rate(), 1.0, "KV leaked");
-        assert_eq!(engine.in_flight, 0);
+        assert!(!engine.step.pool.has_work());
+        assert_eq!(engine.step.kv.free_rate(), 1.0, "KV leaked");
+        assert_eq!(engine.step.in_flight(), 0);
     }
 
     #[test]
@@ -934,8 +812,7 @@ mod tests {
     fn pipeline_trace_records_spans_when_enabled() {
         let trace = burst_trace(4, 100, 6);
         let policy = TokenThrottle::default();
-        let mut cfg = EngineConfig::default();
-        cfg.record_pipeline_trace = true;
+        let cfg = EngineConfig { record_pipeline_trace: true, ..Default::default() };
         let out = SimEngine::new(
             &trace,
             &policy,

@@ -210,55 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_memoization_does_not_change_any_metric() {
-        // The stage-time cache must replay the exact f64 the first
-        // evaluation produced, so every downstream metric is bit-identical
-        // with memoization on or off.
-        let trace = Trace::paper_online(Dataset::ShareGpt, 4.0, 7);
-        let d = deployment();
-        let on = EngineConfig { memoize_costs: true, ..EngineConfig::default() };
-        let off = EngineConfig { memoize_costs: false, ..EngineConfig::default() };
-        for sys in SystemConfig::paper_main() {
-            let a = run_experiment(&trace, &sys, &d, &on);
-            let b = run_experiment(&trace, &sys, &d, &off);
-            assert_eq!(
-                a.end_time_s.to_bits(),
-                b.end_time_s.to_bits(),
-                "{}: end time diverged under memoization",
-                sys.name
-            );
-            assert_eq!(a.report, b.report, "{}: report diverged", sys.name);
-            assert_eq!(a.sched_iterations, b.sched_iterations);
-            assert_eq!(a.preemptions, b.preemptions);
-        }
-    }
-
-    #[test]
-    fn fast_scheduler_paths_are_bit_identical_to_legacy() {
-        // The optimized pool paths (direct map-walk view, O(1) live count,
-        // single-probe KV admission) must schedule the exact same batches
-        // as the legacy paths — the perf harness's baseline is only honest
-        // if the two are interchangeable.
-        let trace = Trace::paper_online(Dataset::ShareGpt, 4.0, 11);
-        let d = deployment();
-        let fast = EngineConfig { fast_scheduler: true, ..EngineConfig::default() };
-        let legacy = EngineConfig { fast_scheduler: false, ..EngineConfig::default() };
-        for sys in SystemConfig::paper_main() {
-            let a = run_experiment(&trace, &sys, &d, &fast);
-            let b = run_experiment(&trace, &sys, &d, &legacy);
-            assert_eq!(
-                a.end_time_s.to_bits(),
-                b.end_time_s.to_bits(),
-                "{}: end time diverged under the fast scheduler",
-                sys.name
-            );
-            assert_eq!(a.report, b.report, "{}: report diverged", sys.name);
-            assert_eq!(a.sched_iterations, b.sched_iterations);
-            assert_eq!(a.preemptions, b.preemptions);
-        }
-    }
-
-    #[test]
     fn utilization_series_is_skipped_when_recording_is_off() {
         let trace = Trace::paper_online(Dataset::ShareGpt, 1.0, 3);
         let d = deployment();
