@@ -6,19 +6,23 @@
 //! view-build + plan step must land well under a model forward pass
 //! (20–800 ms). The remaining groups size the substrates: KV cache
 //! operations, the CPU transformer's decode step, and a complete
-//! discrete-event serving experiment.
+//! discrete-event serving experiment. `auditor_closed_loop_history` checks
+//! that the always-on invariant auditor's cost per request stays flat as
+//! completed requests accumulate.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gllm_core::sarathi::SarathiServe;
 use gllm_core::throttle::TokenThrottle;
-use gllm_core::{BatchPlan, PrefillChunk, RequestPool, SchedulePolicy};
+use gllm_core::{blocks_to_append, BatchPlan, DecodeSlot, PrefillChunk, RequestPool, SchedulePolicy};
 use gllm_kvcache::{Blocks, KvCacheManager, Tokens};
+use gllm_metrics::{InvariantAuditor, KvObservation};
 use gllm_model::{ClusterSpec, ModelConfig};
 use gllm_sim::engine::EngineConfig;
 use gllm_sim::{run_experiment, Deployment, SystemConfig};
 use gllm_transformer::sampler::SamplingParams;
 use gllm_transformer::CausalLM;
 use gllm_workload::{Dataset, Trace};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 /// A pool + cache mid-flight: 64 decoding sequences, 8 waiting prompts.
@@ -141,5 +145,114 @@ fn bench_simulator(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_scheduler, bench_kvcache, bench_transformer, bench_simulator);
+/// A closed loop of 16 requests (64-token prompt, 8 output tokens, one
+/// micro-batch in flight) driven through the auditor alone, with the
+/// events and KV observations a faithful scheduling step would report.
+#[derive(Clone)]
+struct AuditLoop {
+    audit: InvariantAuditor,
+    /// `(seq, context, decoded)` of the open requests.
+    live: Vec<(u64, Tokens, usize)>,
+    next_seq: u64,
+    batch: u64,
+    used: Blocks,
+    completed: u64,
+}
+
+impl AuditLoop {
+    const TOTAL: Blocks = Blocks(4096);
+    const BLOCK: Tokens = Tokens(16);
+
+    fn new() -> Self {
+        Self {
+            audit: InvariantAuditor::new(Self::TOTAL, Self::BLOCK, 1),
+            live: Vec::new(),
+            next_seq: 0,
+            batch: 0,
+            used: Blocks::ZERO,
+            completed: 0,
+        }
+    }
+
+    fn obs(&self) -> KvObservation {
+        KvObservation { free_blocks: Self::TOTAL - self.used, used_blocks: self.used }
+    }
+
+    /// Schedule and complete batches until `n` more requests finished.
+    fn run(&mut self, n: u64) {
+        let target = self.completed + n;
+        while self.completed < target {
+            while self.live.len() < 16 {
+                self.audit.on_arrival(self.next_seq);
+                self.live.push((self.next_seq, Tokens::ZERO, 0));
+                self.next_seq += 1;
+            }
+            let mut plan = BatchPlan::default();
+            for &(seq, context_before, _) in &self.live {
+                if context_before.is_zero() {
+                    plan.prefill.push(PrefillChunk { seq, tokens: Tokens(64), context_before, completes_prompt: true });
+                } else {
+                    plan.decode.push(DecodeSlot { seq, context_before });
+                }
+            }
+            let before = self.obs();
+            for (_, ctx, decoded) in &mut self.live {
+                let tokens = if ctx.is_zero() {
+                    Tokens(64)
+                } else {
+                    *decoded += 1;
+                    Tokens(1)
+                };
+                self.used += blocks_to_append(*ctx, tokens, Self::BLOCK);
+                *ctx += tokens;
+            }
+            let t = self.batch as f64;
+            self.audit.on_schedule(t, self.batch, &plan, &plan, None, before, self.obs());
+            let mut finished = Vec::new();
+            let used = &mut self.used;
+            self.live.retain(|&(seq, ctx, decoded)| {
+                let done = decoded == 8;
+                if done {
+                    *used -= ctx.to_blocks(Self::BLOCK);
+                    finished.push(seq);
+                }
+                !done
+            });
+            self.completed += finished.len() as u64;
+            self.audit.on_complete(t, self.batch, &finished, self.obs());
+            self.batch += 1;
+        }
+    }
+}
+
+fn bench_auditor(c: &mut Criterion) {
+    // Each iteration audits 100 more requests on a copy of a loop that
+    // has already completed `history`; divide by 100 for per request. The
+    // used copy is parked and dropped in the next (untimed) setup, so
+    // freeing the history stays out of the measurement.
+    let mut g = c.benchmark_group("auditor_closed_loop_history");
+    for (name, history) in [("100_requests_after_1k", 1_000), ("100_requests_after_8k", 8_000)] {
+        let mut warm = AuditLoop::new();
+        warm.run(history);
+        assert!(warm.audit.is_clean(), "{:?}", warm.audit.violations());
+        let parked = RefCell::new(None);
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    parked.borrow_mut().take();
+                    warm.clone()
+                },
+                |mut lp| {
+                    lp.run(100);
+                    black_box(lp.audit.is_clean());
+                    *parked.borrow_mut() = Some(lp);
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_scheduler, bench_kvcache, bench_transformer, bench_simulator, bench_auditor);
 criterion_main!(benches);

@@ -137,10 +137,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let req = match Request::read(&mut reader) {
         Ok(Some(req)) => req,
         Ok(None) => return,
-        Err(_) => {
-            let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", "malformed HTTP"))
+        Err(e) => {
+            let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", e.to_string()))
                 .expect("serialise error");
-            let _ = respond(&mut stream, 400, "application/json", &body);
+            let _ = respond(&mut stream, e.status(), "application/json", &body);
             return;
         }
     };
@@ -548,6 +548,27 @@ mod tests {
             assert!(!resp.starts_with("HTTP/1.1 200"), "{path}: {resp}");
             assert!(json_body(&resp)["error"]["message"].as_str().is_some(), "{path}: {resp}");
         }
+        let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_and_the_server_stays_up() {
+        use crate::http::{MAX_HEADERS, MAX_LINE_BYTES};
+        let server = start();
+        let addr = server.addr();
+        // Each hostile request ends where its cap fires, so the server has
+        // read all of it when it answers and closes.
+        let huge_body = roundtrip(addr, &format!("POST /v1/completions HTTP/1.1\r\nContent-Length: {}\r\n\r\n", u64::MAX));
+        assert!(huge_body.starts_with("HTTP/1.1 413"), "{huge_body}");
+        assert!(json_body(&huge_body)["error"]["message"].as_str().is_some());
+        let mut long_line = "GET /health".to_string();
+        long_line.extend(std::iter::repeat_n('a', MAX_LINE_BYTES + 1 - long_line.len()));
+        let long = roundtrip(addr, &long_line);
+        assert!(long.starts_with("HTTP/1.1 431"), "{long}");
+        let many = roundtrip(addr, &format!("GET /health HTTP/1.1\r\n{}", "X: v\r\n".repeat(MAX_HEADERS + 1)));
+        assert!(many.starts_with("HTTP/1.1 431"), "{many}");
         let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 200"), "{health}");
         server.shutdown();

@@ -23,9 +23,14 @@
 //! 5. **FCFS admission** — a sequence never starts prefilling before an
 //!    earlier arrival that has not started (and is still live).
 //!
-//! The auditor is cheap — a hash map of live contexts and O(plan) work
-//! per batch — so both planes keep it on in every test.
+//! Every transition costs O(plan · log n) and none rescans the request
+//! history: a first chunk reads only the still-unstarted arrivals ahead
+//! of it, the KV cross-check compares against a running block total, and
+//! conformance looks seqs up in a sorted copy of the proposal. Both
+//! planes therefore keep the auditor on in every test, and a long
+//! closed-loop run does not slow down as requests accumulate.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use gllm_core::{BatchPlan, Blocks, Tokens};
@@ -176,8 +181,13 @@ pub struct InvariantAuditor {
     started: BTreeSet<u64>,
     /// Requests that finished or were rejected (exempt from FCFS checks).
     gone: BTreeSet<u64>,
+    /// Arrivals that have neither started nor left, keyed by arrival
+    /// index: exactly the requests a first chunk could skip.
+    unstarted: BTreeMap<usize, u64>,
     /// Committed KV tokens per sequence currently holding cache.
     ctx: BTreeMap<u64, Tokens>,
+    /// `ctx` summed at block granularity, updated wherever `ctx` changes.
+    shadow_used: Blocks,
 
     violations: Vec<Violation>,
 }
@@ -201,29 +211,34 @@ impl InvariantAuditor {
             next_arrival: 0,
             started: BTreeSet::new(),
             gone: BTreeSet::new(),
+            unstarted: BTreeMap::new(),
             ctx: BTreeMap::new(),
+            shadow_used: Blocks::ZERO,
             violations: Vec::new(),
         }
     }
 
     /// A request entered the system (records FCFS arrival order).
     pub fn on_arrival(&mut self, seq: u64) {
-        self.arrival_idx.entry(seq).or_insert_with(|| {
-            let i = self.next_arrival;
+        if let Entry::Vacant(e) = self.arrival_idx.entry(seq) {
+            let idx = self.next_arrival;
             self.next_arrival += 1;
-            i
-        });
+            e.insert(idx);
+            if !self.started.contains(&seq) && !self.gone.contains(&seq) {
+                self.unstarted.insert(idx, seq);
+            }
+        }
     }
 
     /// A request was rejected before admission (oversized, empty, …).
     pub fn on_abort(&mut self, seq: u64) {
-        self.gone.insert(seq);
+        self.leave(seq);
     }
 
     /// A sequence's KV was evicted (recompute preemption): it returns to
     /// the waiting queue with an empty context.
     pub fn on_evict(&mut self, seq: u64) {
-        self.ctx.remove(&seq);
+        self.release_kv(seq);
     }
 
     /// An injected fault fired somewhere in the pipeline (the runtime
@@ -252,8 +267,8 @@ impl InvariantAuditor {
     pub fn on_request_failed(&mut self, t_s: f64, seq: u64) {
         self.last_t = t_s;
         self.requests_failed += 1;
-        self.gone.insert(seq);
-        self.ctx.remove(&seq);
+        self.leave(seq);
+        self.release_kv(seq);
     }
 
     /// The runtime detected an internal bookkeeping inconsistency and
@@ -298,7 +313,7 @@ impl InvariantAuditor {
         // (1) Apply the committed plan to the shadow allocations, then the
         // manager must agree block-for-block.
         for c in &committed.prefill {
-            let cur = self.ctx.get(&c.seq).copied().unwrap_or(Tokens::ZERO);
+            let cur = self.grow_kv(c.seq, c.tokens);
             if cur != c.context_before {
                 self.violate(
                     t_s,
@@ -307,11 +322,9 @@ impl InvariantAuditor {
                     format!("seq {} prefill chunk claims context {} but shadow holds {}", c.seq, c.context_before, cur),
                 );
             }
-            self.ctx.insert(c.seq, cur + c.tokens);
-            self.started.insert(c.seq);
         }
         for d in &committed.decode {
-            let cur = self.ctx.get(&d.seq).copied().unwrap_or(Tokens::ZERO);
+            let cur = self.grow_kv(d.seq, Tokens(1));
             if cur != d.context_before {
                 self.violate(
                     t_s,
@@ -320,9 +333,37 @@ impl InvariantAuditor {
                     format!("seq {} decode slot claims context {} but shadow holds {}", d.seq, d.context_before, cur),
                 );
             }
-            self.ctx.insert(d.seq, cur + Tokens(1));
         }
         self.check_kv(t_s, Some(batch), after);
+    }
+
+    /// Append `tokens` to `seq`'s shadow context with one map probe and
+    /// return the context it held before.
+    fn grow_kv(&mut self, seq: u64, tokens: Tokens) -> Tokens {
+        let held = self.ctx.entry(seq).or_default();
+        let cur = *held;
+        *held = cur + tokens;
+        self.shadow_used += blocks_to_append(cur, tokens, self.block_size);
+        cur
+    }
+
+    /// Forget `seq`'s shadow context; false when it held none.
+    fn release_kv(&mut self, seq: u64) -> bool {
+        match self.ctx.remove(&seq) {
+            Some(held) => {
+                self.shadow_used -= held.to_blocks(self.block_size);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// `seq` finished or was rejected: it leaves the FCFS universe.
+    fn leave(&mut self, seq: u64) {
+        self.gone.insert(seq);
+        if let Some(idx) = self.arrival_idx.get(&seq) {
+            self.unstarted.remove(idx);
+        }
     }
 
     /// Audit one batch completion. `finished` lists sequences whose KV the
@@ -340,8 +381,8 @@ impl InvariantAuditor {
             self.in_flight -= 1;
         }
         for &id in finished {
-            self.gone.insert(id);
-            if self.ctx.remove(&id).is_none() {
+            self.leave(id);
+            if !self.release_kv(id) {
                 self.violate(
                     t_s,
                     Some(batch),
@@ -441,14 +482,26 @@ impl InvariantAuditor {
                 );
             }
         }
+        // Per-plan seq lookups. The stable sort keeps a seq's chunks in plan
+        // order, so the dedup keeps its first proposed chunk.
+        let mut proposed_chunks: Vec<(u64, Tokens)> = proposed.prefill.iter().map(|p| (p.seq, p.tokens)).collect();
+        proposed_chunks.sort_by_key(|&(seq, _)| seq);
+        proposed_chunks.dedup_by_key(|&mut (seq, _)| seq);
+        let mut proposed_decode: Vec<u64> = proposed.decode.iter().map(|d| d.seq).collect();
+        proposed_decode.sort_unstable();
         for c in &committed.prefill {
-            match proposed.prefill.iter().find(|p| p.seq == c.seq) {
-                Some(p) if c.tokens <= p.tokens => {}
+            let proposed_tokens = proposed_chunks
+                .binary_search_by_key(&c.seq, |&(seq, _)| seq)
+                .ok()
+                .and_then(|i| proposed_chunks.get(i))
+                .map(|&(_, tokens)| tokens);
+            match proposed_tokens {
+                Some(p) if c.tokens <= p => {}
                 Some(p) => self.violate(
                     t_s,
                     Some(batch),
                     Invariant::BudgetConformance,
-                    format!("admission grew seq {}'s chunk from {} to {} tokens", c.seq, p.tokens, c.tokens),
+                    format!("admission grew seq {}'s chunk from {} to {} tokens", c.seq, p, c.tokens),
                 ),
                 None => self.violate(
                     t_s,
@@ -459,7 +512,7 @@ impl InvariantAuditor {
             }
         }
         for d in &committed.decode {
-            if !proposed.decode.iter().any(|p| p.seq == d.seq) {
+            if proposed_decode.binary_search(&d.seq).is_err() {
                 self.violate(
                     t_s,
                     Some(batch),
@@ -475,7 +528,10 @@ impl InvariantAuditor {
     fn check_fcfs(&mut self, t_s: f64, batch: u64, committed: &BatchPlan) {
         let mut prev_idx: Option<usize> = None;
         for c in &committed.prefill {
-            let Some(&idx) = self.arrival_idx.get(&c.seq) else { continue };
+            let Some(&idx) = self.arrival_idx.get(&c.seq) else {
+                self.started.insert(c.seq);
+                continue;
+            };
             if let Some(p) = prev_idx {
                 if idx < p {
                     self.violate(
@@ -487,16 +543,13 @@ impl InvariantAuditor {
                 }
             }
             prev_idx = Some(idx);
-            if !self.started.contains(&c.seq) {
+            if self.started.insert(c.seq) {
                 // First-ever chunk: every earlier arrival must have started
-                // or left the system.
-                let skipped: Vec<u64> = self
-                    .arrival_idx
-                    .iter()
-                    .filter(|(id, &i)| i < idx && !self.started.contains(id) && !self.gone.contains(id))
-                    .map(|(&id, _)| id)
-                    .collect();
+                // or left the system, i.e. none may still be unstarted.
+                self.unstarted.remove(&idx);
+                let mut skipped: Vec<u64> = self.unstarted.range(..idx).map(|(_, &id)| id).collect();
                 if !skipped.is_empty() {
+                    skipped.sort_unstable();
                     self.violate(
                         t_s,
                         Some(batch),
@@ -504,15 +557,13 @@ impl InvariantAuditor {
                         format!("seq {} started before earlier unstarted arrivals {:?}", c.seq, skipped),
                     );
                 }
-                self.started.insert(c.seq);
             }
         }
     }
 
     /// (1) Shadow allocations vs. observed occupancy, block-granular.
     fn check_kv(&mut self, t_s: f64, batch: Option<u64>, obs: KvObservation) {
-        let bs = self.block_size;
-        let shadow_used: Blocks = self.ctx.values().map(|&c| c.to_blocks(bs)).sum();
+        let shadow_used = self.shadow_used;
         if shadow_used != obs.used_blocks || self.total_blocks - shadow_used != obs.free_blocks {
             self.violate(
                 t_s,
@@ -542,14 +593,13 @@ impl InvariantAuditor {
 
     /// Current shadow-state digest.
     pub fn snapshot(&self) -> AuditSnapshot {
-        let bs = self.block_size;
         AuditSnapshot {
             t_s: self.last_t,
             batches_checked: self.batches_checked,
             in_flight: self.in_flight,
             depth: self.depth,
             live_kv_seqs: self.ctx.len(),
-            shadow_used_blocks: self.ctx.values().map(|&c| c.to_blocks(bs)).sum(),
+            shadow_used_blocks: self.shadow_used,
             total_blocks: self.total_blocks,
             violations: self.violations.len(),
             faults_injected: self.faults_injected,
@@ -598,6 +648,7 @@ impl InvariantAuditor {
 mod tests {
     use super::*;
     use gllm_core::{BatchPlan, DecodeSlot, PrefillChunk};
+    use proptest::prelude::*;
 
     fn chunk(seq: u64, tokens: usize, context_before: usize, completes: bool) -> PrefillChunk {
         PrefillChunk {
@@ -651,10 +702,15 @@ mod tests {
         // The pre-fix TokenThrottle bug: 4 decodes at full blocks need 4
         // new blocks, but the policy reserved 4 *tokens* and carved a
         // 63-token prefill into 5 free blocks.
-        let mut a = auditor(24, 16, 4);
+        let mut a = auditor(21, 16, 4);
         for s in 0..5 {
             a.on_arrival(s);
         }
+        // Shadow contexts: 4 decodes already hold 64 tokens (16 blocks),
+        // leaving 5 free.
+        let warmup = BatchPlan { prefill: (0..4).map(|s| chunk(s, 64, 0, true)).collect(), decode: vec![] };
+        a.on_schedule(0.0, 0, &warmup, &warmup, None, obs(21, 0), obs(5, 16));
+        a.on_complete(0.5, 0, &[], obs(5, 16));
         let proposed = BatchPlan {
             prefill: vec![chunk(4, 63, 0, false)],
             decode: (0..4).map(|s| slot(s, 64)).collect(),
@@ -665,17 +721,9 @@ mod tests {
             prefill: vec![chunk(4, 16, 0, false)],
             decode: (0..4).map(|s| slot(s, 64)).collect(),
         };
-        for s in 0..4 {
-            // Shadow contexts: 4 decodes already hold 64 tokens each.
-            a.ctx.insert(s, Tokens(64));
-            a.started.insert(s);
-        }
-        a.on_schedule(1.0, 0, &proposed, &committed, None, obs(5, 19), obs(0, 24));
-        assert!(
-            a.violations().iter().any(|v| v.invariant == Invariant::KvOvercommit),
-            "{:?}",
-            a.violations()
-        );
+        a.on_schedule(1.0, 1, &proposed, &committed, None, obs(5, 16), obs(0, 21));
+        let kinds: Vec<Invariant> = a.violations().iter().map(|v| v.invariant).collect();
+        assert_eq!(kinds, [Invariant::KvOvercommit], "{:?}", a.violations());
     }
 
     #[test]
@@ -814,5 +862,348 @@ mod tests {
         let report = a.into_report(true);
         assert!(!report.is_clean());
         assert!(report.violations.iter().any(|v| v.detail.contains("leak") || v.detail.contains("left shadow KV")));
+    }
+
+    /// The FCFS, KV and conformance checks as they were before the
+    /// incremental indexes: every first chunk rescans all arrivals, every
+    /// KV cross-check re-sums the live contexts, and conformance searches
+    /// the proposal linearly. Depth, overcommit, the counters and the
+    /// violation log come from an inner auditor that never sees a shadow
+    /// update, so only the rewritten logic is duplicated here.
+    struct Reference {
+        base: InvariantAuditor,
+        arrival_idx: BTreeMap<u64, usize>,
+        next_arrival: usize,
+        started: BTreeSet<u64>,
+        gone: BTreeSet<u64>,
+        ctx: BTreeMap<u64, Tokens>,
+    }
+
+    impl Reference {
+        fn new(total_blocks: usize, block_size: usize, depth: usize) -> Self {
+            Self {
+                base: auditor(total_blocks, block_size, depth),
+                arrival_idx: BTreeMap::new(),
+                next_arrival: 0,
+                started: BTreeSet::new(),
+                gone: BTreeSet::new(),
+                ctx: BTreeMap::new(),
+            }
+        }
+
+        fn on_arrival(&mut self, seq: u64) {
+            self.arrival_idx.entry(seq).or_insert_with(|| {
+                let i = self.next_arrival;
+                self.next_arrival += 1;
+                i
+            });
+        }
+
+        fn on_request_failed(&mut self, t_s: f64, seq: u64) {
+            self.base.last_t = t_s;
+            self.base.requests_failed += 1;
+            self.gone.insert(seq);
+            self.ctx.remove(&seq);
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn on_schedule(
+            &mut self,
+            t_s: f64,
+            batch: u64,
+            proposed: &BatchPlan,
+            committed: &BatchPlan,
+            caps: Option<PlanCaps>,
+            before: KvObservation,
+            after: KvObservation,
+        ) {
+            let b = &mut self.base;
+            b.last_t = t_s;
+            b.batches_checked += 1;
+            if b.in_flight >= b.depth {
+                let detail = format!("scheduled with {} batches already in flight (depth {})", b.in_flight, b.depth);
+                b.violate(t_s, Some(batch), Invariant::PipelineDepth, detail);
+            }
+            b.in_flight += 1;
+            b.check_overcommit(t_s, batch, proposed, before);
+            self.check_conformance(t_s, batch, proposed, committed, caps);
+            self.check_fcfs(t_s, batch, committed);
+            for c in &committed.prefill {
+                let cur = self.ctx.get(&c.seq).copied().unwrap_or(Tokens::ZERO);
+                if cur != c.context_before {
+                    let detail =
+                        format!("seq {} prefill chunk claims context {} but shadow holds {}", c.seq, c.context_before, cur);
+                    self.base.violate(t_s, Some(batch), Invariant::KvAccounting, detail);
+                }
+                self.ctx.insert(c.seq, cur + c.tokens);
+                self.started.insert(c.seq);
+            }
+            for d in &committed.decode {
+                let cur = self.ctx.get(&d.seq).copied().unwrap_or(Tokens::ZERO);
+                if cur != d.context_before {
+                    let detail =
+                        format!("seq {} decode slot claims context {} but shadow holds {}", d.seq, d.context_before, cur);
+                    self.base.violate(t_s, Some(batch), Invariant::KvAccounting, detail);
+                }
+                self.ctx.insert(d.seq, cur + Tokens(1));
+            }
+            self.check_kv(t_s, Some(batch), after);
+        }
+
+        fn on_complete(&mut self, t_s: f64, batch: u64, finished: &[u64], after: KvObservation) {
+            self.base.last_t = t_s;
+            if self.base.in_flight == 0 {
+                let detail = "batch completed with nothing in flight".to_string();
+                self.base.violate(t_s, Some(batch), Invariant::PipelineDepth, detail);
+            } else {
+                self.base.in_flight -= 1;
+            }
+            for &id in finished {
+                self.gone.insert(id);
+                if self.ctx.remove(&id).is_none() {
+                    let detail = format!("finished seq {id} held no shadow KV");
+                    self.base.violate(t_s, Some(batch), Invariant::KvAccounting, detail);
+                }
+            }
+            self.check_kv(t_s, Some(batch), after);
+        }
+
+        fn check_conformance(
+            &mut self,
+            t_s: f64,
+            batch: u64,
+            proposed: &BatchPlan,
+            committed: &BatchPlan,
+            caps: Option<PlanCaps>,
+        ) {
+            let b = &mut self.base;
+            if let Some(caps) = caps {
+                let p = proposed.prefill_tokens();
+                if p > caps.prefill_tokens {
+                    let detail = format!("proposed {} prefill tokens over the policy's budget {}", p, caps.prefill_tokens);
+                    b.violate(t_s, Some(batch), Invariant::BudgetConformance, detail);
+                }
+                if proposed.decode.len() > caps.decode_seqs {
+                    let detail =
+                        format!("proposed {} decode seqs over the policy's budget {}", proposed.decode.len(), caps.decode_seqs);
+                    b.violate(t_s, Some(batch), Invariant::BudgetConformance, detail);
+                }
+            }
+            for c in &committed.prefill {
+                let detail = match proposed.prefill.iter().find(|p| p.seq == c.seq) {
+                    Some(p) if c.tokens <= p.tokens => continue,
+                    Some(p) => format!("admission grew seq {}'s chunk from {} to {} tokens", c.seq, p.tokens, c.tokens),
+                    None => format!("admission invented a prefill chunk for seq {}", c.seq),
+                };
+                b.violate(t_s, Some(batch), Invariant::BudgetConformance, detail);
+            }
+            for d in &committed.decode {
+                if !proposed.decode.iter().any(|p| p.seq == d.seq) {
+                    let detail = format!("admission invented a decode slot for seq {}", d.seq);
+                    b.violate(t_s, Some(batch), Invariant::BudgetConformance, detail);
+                }
+            }
+        }
+
+        fn check_fcfs(&mut self, t_s: f64, batch: u64, committed: &BatchPlan) {
+            let mut prev_idx: Option<usize> = None;
+            for c in &committed.prefill {
+                let Some(&idx) = self.arrival_idx.get(&c.seq) else { continue };
+                if prev_idx.is_some_and(|p| idx < p) {
+                    let detail = format!("prefill chunks out of arrival order (seq {} after a later arrival)", c.seq);
+                    self.base.violate(t_s, Some(batch), Invariant::FcfsAdmission, detail);
+                }
+                prev_idx = Some(idx);
+                if !self.started.contains(&c.seq) {
+                    let skipped: Vec<u64> = self
+                        .arrival_idx
+                        .iter()
+                        .filter(|(id, &i)| i < idx && !self.started.contains(id) && !self.gone.contains(id))
+                        .map(|(&id, _)| id)
+                        .collect();
+                    if !skipped.is_empty() {
+                        let detail = format!("seq {} started before earlier unstarted arrivals {:?}", c.seq, skipped);
+                        self.base.violate(t_s, Some(batch), Invariant::FcfsAdmission, detail);
+                    }
+                    self.started.insert(c.seq);
+                }
+            }
+        }
+
+        fn shadow_used(&self) -> Blocks {
+            self.ctx.values().map(|&c| c.to_blocks(self.base.block_size)).sum()
+        }
+
+        fn check_kv(&mut self, t_s: f64, batch: Option<u64>, obs: KvObservation) {
+            let shadow_used = self.shadow_used();
+            let total = self.base.total_blocks;
+            if shadow_used != obs.used_blocks || total - shadow_used != obs.free_blocks {
+                let detail = format!(
+                    "shadow accounting says {}/{} blocks used, manager reports {} used / {} free",
+                    shadow_used, total, obs.used_blocks, obs.free_blocks
+                );
+                self.base.violate(t_s, batch, Invariant::KvAccounting, detail);
+            }
+        }
+
+        fn snapshot(&self) -> AuditSnapshot {
+            AuditSnapshot { live_kv_seqs: self.ctx.len(), shadow_used_blocks: self.shadow_used(), ..self.base.snapshot() }
+        }
+    }
+
+    const TOTAL_BLOCKS: usize = 4096;
+    const BLOCK_SIZE: usize = 4;
+
+    /// One raw event: `(kind, seq, tokens, flags, chunks, slots)`. Chunks
+    /// are `(seq, tokens, flags)` and slots `(seq, flags)`; the flag bits
+    /// pick between faithful and corrupted contexts, observations and
+    /// admissions, so both clean and violating streams are covered.
+    type RawEvent = (u8, u64, usize, u8, Vec<(u64, usize, u8)>, Vec<(u64, u8)>);
+
+    fn raw_events() -> impl Strategy<Value = Vec<RawEvent>> {
+        use proptest::collection::vec;
+        let event = (
+            0u8..12,
+            0u64..32,
+            0usize..24,
+            0u8..64,
+            vec((0u64..32, 0usize..24, 0u8..16), 0..5),
+            vec((0u64..32, 0u8..16), 0..5),
+        );
+        vec(event, 1..120)
+    }
+
+    /// The occupancy a faithful KV manager reports once `plan` is applied
+    /// to the reference's shadow contexts.
+    fn faithful_after(r: &Reference, plan: &BatchPlan) -> KvObservation {
+        let mut ctx = r.ctx.clone();
+        for c in &plan.prefill {
+            *ctx.entry(c.seq).or_default() += c.tokens;
+        }
+        for d in &plan.decode {
+            *ctx.entry(d.seq).or_default() += Tokens(1);
+        }
+        let used: Blocks = ctx.values().map(|&c| c.to_blocks(Tokens(BLOCK_SIZE))).sum();
+        obs(TOTAL_BLOCKS - used.get(), used.get())
+    }
+
+    fn skew(o: KvObservation, flags: u8) -> KvObservation {
+        match flags % 8 {
+            0 => obs(o.free_blocks.get() + 1, o.used_blocks.get()),
+            1 => obs(o.free_blocks.get(), o.used_blocks.get().saturating_sub(1)),
+            _ => o,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn incremental_auditor_matches_the_history_scan(events in raw_events()) {
+            let mut a = auditor(TOTAL_BLOCKS, BLOCK_SIZE, 3);
+            let mut r = Reference::new(TOTAL_BLOCKS, BLOCK_SIZE, 3);
+            let mut batch = 0u64;
+            for (step, (kind, seq, tokens, flags, chunks, slots)) in events.into_iter().enumerate() {
+                let t = step as f64 * 0.01;
+                match kind {
+                    0..=2 => {
+                        a.on_arrival(seq);
+                        r.on_arrival(seq);
+                    }
+                    3 => {
+                        a.on_abort(seq);
+                        r.gone.insert(seq);
+                    }
+                    4 => {
+                        a.on_request_failed(t, seq);
+                        r.on_request_failed(t, seq);
+                    }
+                    5 => {
+                        a.on_evict(seq);
+                        r.ctx.remove(&seq);
+                    }
+                    6 => {
+                        // Recovery: the pipeline dies, every live seq is
+                        // evicted, and `tokens % 4` batches are rolled back.
+                        let live: Vec<u64> = r.ctx.keys().copied().collect();
+                        a.on_fault(t);
+                        r.base.on_fault(t);
+                        for s in live {
+                            a.on_evict(s);
+                            r.ctx.remove(&s);
+                        }
+                        a.on_recovery(t, tokens % 4);
+                        r.base.on_recovery(t, tokens % 4);
+                    }
+                    7..=9 => {
+                        // Chunks and slots claim the shadow context unless
+                        // their flags ask for a mismatch; chunks may repeat
+                        // a seq and arrive out of arrival order.
+                        let claimed = |s: u64, f: u8| {
+                            let held = r.ctx.get(&s).copied().unwrap_or(Tokens::ZERO);
+                            if f.is_multiple_of(5) { held + Tokens(1 + usize::from(f)) } else { held }
+                        };
+                        let proposed = BatchPlan {
+                            prefill: chunks
+                                .iter()
+                                .map(|&(s, n, f)| chunk(s, n, claimed(s, f).get(), f.is_multiple_of(3)))
+                                .collect(),
+                            decode: slots.iter().map(|&(s, f)| slot(s, claimed(s, f).get())).collect(),
+                        };
+                        // Admission trims (or, corrupted, grows, drops and
+                        // invents) what the policy proposed.
+                        let mut committed = proposed.clone();
+                        for (c, &(_, _, f)) in committed.prefill.iter_mut().zip(&chunks) {
+                            match f % 4 {
+                                0 => c.tokens = c.tokens.saturating_sub(Tokens(2)),
+                                1 if flags.is_multiple_of(5) => c.tokens += Tokens(3),
+                                _ => {}
+                            }
+                        }
+                        if flags.is_multiple_of(7) {
+                            committed.prefill.push(chunk(seq, tokens, claimed(seq, 1).get(), false));
+                        }
+                        if flags % 6 == 1 {
+                            committed.decode.push(slot(seq, claimed(seq, 1).get()));
+                        }
+                        if flags % 6 == 2 {
+                            committed.decode.truncate(1);
+                        }
+                        let caps = flags.is_multiple_of(3)
+                            .then(|| PlanCaps { prefill_tokens: Tokens(tokens * 2), decode_seqs: usize::from(flags % 4) });
+                        let used = r.shadow_used().get();
+                        let before = if flags.is_multiple_of(9) {
+                            // Tight free space trips the overcommit check.
+                            obs(tokens % 3, used)
+                        } else {
+                            obs(TOTAL_BLOCKS - used, used)
+                        };
+                        let after = skew(faithful_after(&r, &committed), flags / 8);
+                        a.on_schedule(t, batch, &proposed, &committed, caps, before, after);
+                        r.on_schedule(t, batch, &proposed, &committed, caps, before, after);
+                        batch += 1;
+                    }
+                    _ => {
+                        // Completion: the finished seqs are freed (some may
+                        // hold no KV, some may repeat).
+                        let mut finished: Vec<u64> = slots.iter().map(|&(s, _)| s).collect();
+                        if flags.is_multiple_of(4) {
+                            finished.push(seq);
+                        }
+                        let mut after_ctx = r.ctx.clone();
+                        for s in &finished {
+                            after_ctx.remove(s);
+                        }
+                        let used: Blocks = after_ctx.values().map(|&c| c.to_blocks(Tokens(BLOCK_SIZE))).sum();
+                        let after = skew(obs(TOTAL_BLOCKS - used.get(), used.get()), flags / 8);
+                        let done = batch.saturating_sub(1);
+                        a.on_complete(t, done, &finished, after);
+                        r.on_complete(t, done, &finished, after);
+                    }
+                }
+                prop_assert_eq!(a.violations(), r.base.violations(), "after event {}", step);
+                prop_assert_eq!(a.snapshot(), r.snapshot(), "after event {}", step);
+            }
+        }
     }
 }
