@@ -9,11 +9,11 @@ use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use gllm_core::SchedulePolicy;
 use gllm_metrics::MetricsRecorder;
 use gllm_runtime::server::Submitter;
@@ -36,6 +36,15 @@ struct Shared {
     /// Per-request event routes, keyed by sequence id.
     routes: Mutex<HashMap<u64, Sender<StreamEvent>>>,
     shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// The route table. A thread that panicked while holding the lock
+    /// leaves the map itself intact, so a poisoned lock is recovered rather
+    /// than ending every stream.
+    fn routes(&self) -> MutexGuard<'_, HashMap<u64, Sender<StreamEvent>>> {
+        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running OpenAI-compatible API server.
@@ -78,8 +87,7 @@ impl ApiServer {
                             | StreamEvent::Rejected { seq }
                             | StreamEvent::Failed { seq } => seq,
                         };
-                        let routes = shared.routes.lock().expect("routes lock");
-                        if let Some(tx) = routes.get(&seq) {
+                        if let Some(tx) = shared.routes().get(&seq) {
                             // A dropped receiver (client hung up) is fine.
                             let _ = tx.send(ev);
                         }
@@ -138,9 +146,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Ok(Some(req)) => req,
         Ok(None) => return,
         Err(e) => {
-            let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", e.to_string()))
-                .expect("serialise error");
-            let _ = respond(&mut stream, e.status(), "application/json", &body);
+            let _ = respond_error(&mut stream, e.status(), "invalid_request_error", e.to_string());
             return;
         }
     };
@@ -163,64 +169,70 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         ("POST", "/v1/completions") => handle_completion(&mut stream, &req, shared),
         ("POST", "/v1/chat/completions") => handle_chat(&mut stream, &req, shared),
         (_, "/v1/completions") | (_, "/v1/chat/completions") | (_, "/v1/models") | (_, "/health") => {
-            let body = serde_json::to_vec(&ErrorResponse::new("invalid_request_error", "method not allowed"))
-                .expect("serialise error");
-            let _ = respond(&mut stream, 405, "application/json", &body);
+            let _ = respond_error(&mut stream, 405, "invalid_request_error", "method not allowed");
         }
         _ => {
-            let body = serde_json::to_vec(&ErrorResponse::new("not_found_error", "unknown route"))
-                .expect("serialise error");
-            let _ = respond(&mut stream, 404, "application/json", &body);
+            let _ = respond_error(&mut stream, 404, "not_found_error", "unknown route");
         }
     }
+}
+
+/// Answer with an OpenAI-shaped JSON error.
+fn respond_error(
+    stream: &mut TcpStream,
+    status: u16,
+    kind: &str,
+    message: impl Into<String>,
+) -> std::io::Result<()> {
+    let body = serde_json::to_vec(&ErrorResponse::new(kind, message)).expect("serialise error");
+    respond(stream, status, "application/json", &body)
+}
+
+/// Submit a request whose events go to a fresh route; returns its id and
+/// the route. When the driver is gone, answers 503 and returns `None`.
+fn submit(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    prompt: Vec<u32>,
+    max_new: usize,
+    params: SamplingParams,
+) -> Option<(u64, Receiver<StreamEvent>)> {
+    let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+    let (tx, rx) = channel();
+    shared.routes().insert(id, tx);
+    if shared.submitter.submit(GenRequest { id, prompt, max_new, params }).is_ok() {
+        return Some((id, rx));
+    }
+    shared.routes().remove(&id);
+    let msg = "driver has shut down; request was not submitted";
+    let _ = respond_error(stream, 503, "engine_unavailable", msg);
+    None
 }
 
 fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     let parsed: ChatCompletionRequest = match serde_json::from_slice(&req.body) {
         Ok(p) => p,
         Err(e) => {
-            let body =
-                serde_json::to_vec(&ErrorResponse::new("invalid_request_error", e.to_string()))
-                    .expect("serialise error");
-            let _ = respond(stream, 400, "application/json", &body);
+            let _ = respond_error(stream, 400, "invalid_request_error", e.to_string());
             return;
         }
     };
     if parsed.messages.is_empty() || parsed.max_tokens == 0 {
-        let body = serde_json::to_vec(&ErrorResponse::new(
-            "invalid_request_error",
-            "messages must be non-empty and max_tokens >= 1",
-        ))
-        .expect("serialise error");
-        let _ = respond(stream, 400, "application/json", &body);
+        let msg = "messages must be non-empty and max_tokens >= 1";
+        let _ = respond_error(stream, 400, "invalid_request_error", msg);
         return;
     }
     let prompt_tokens = shared.tokenizer.encode(&parsed.to_prompt());
     let prompt_len = prompt_tokens.len();
-    let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let (tx, rx): (Sender<StreamEvent>, Receiver<StreamEvent>) = unbounded();
-    shared.routes.lock().expect("routes lock").insert(id, tx);
-    let submitted = shared.submitter.submit(GenRequest {
-        id,
-        prompt: prompt_tokens,
-        max_new: parsed.max_tokens,
-        params: SamplingParams {
-            temperature: parsed.temperature,
-            top_k: parsed.top_k,
-            top_p: parsed.top_p,
-            seed: parsed.seed,
-        },
-    });
-    if submitted.is_err() {
-        shared.routes.lock().expect("routes lock").remove(&id);
-        let body = serde_json::to_vec(&ErrorResponse::new(
-            "engine_unavailable",
-            "driver has shut down; request was not submitted",
-        ))
-        .expect("serialise error");
-        let _ = respond(stream, 503, "application/json", &body);
+    let params = SamplingParams {
+        temperature: parsed.temperature,
+        top_k: parsed.top_k,
+        top_p: parsed.top_p,
+        seed: parsed.seed,
+    };
+    let Some((id, rx)) = submit(stream, shared, prompt_tokens, parsed.max_tokens, params) else {
         return;
-    }
+    };
     let mut tokens = Vec::new();
     let result = loop {
         match rx.recv_timeout(Duration::from_secs(120)) {
@@ -237,7 +249,7 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
             Err(_) => break Err("generation timed out"),
         }
     };
-    shared.routes.lock().expect("routes lock").remove(&id);
+    shared.routes().remove(&id);
     match result {
         Ok(()) => {
             let resp = ChatCompletionResponse {
@@ -262,9 +274,7 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
             let _ = respond(stream, 200, "application/json", &body);
         }
         Err(msg) => {
-            let body = serde_json::to_vec(&ErrorResponse::new("server_error", msg))
-                .expect("serialise error");
-            let _ = respond(stream, 500, "application/json", &body);
+            let _ = respond_error(stream, 500, "server_error", msg);
         }
     }
 }
@@ -273,56 +283,33 @@ fn handle_completion(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     let parsed: CompletionRequest = match serde_json::from_slice(&req.body) {
         Ok(p) => p,
         Err(e) => {
-            let body =
-                serde_json::to_vec(&ErrorResponse::new("invalid_request_error", e.to_string()))
-                    .expect("serialise error");
-            let _ = respond(stream, 400, "application/json", &body);
+            let _ = respond_error(stream, 400, "invalid_request_error", e.to_string());
             return;
         }
     };
     let prompt_tokens = shared.tokenizer.encode(&parsed.prompt);
     if prompt_tokens.is_empty() || parsed.max_tokens == 0 {
-        let body = serde_json::to_vec(&ErrorResponse::new(
-            "invalid_request_error",
-            "prompt must be non-empty and max_tokens >= 1",
-        ))
-        .expect("serialise error");
-        let _ = respond(stream, 400, "application/json", &body);
+        let msg = "prompt must be non-empty and max_tokens >= 1";
+        let _ = respond_error(stream, 400, "invalid_request_error", msg);
         return;
     }
 
-    let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let (tx, rx): (Sender<StreamEvent>, Receiver<StreamEvent>) = unbounded();
-    shared.routes.lock().expect("routes lock").insert(id, tx);
     let prompt_len = prompt_tokens.len();
-    let submitted = shared.submitter.submit(GenRequest {
-        id,
-        prompt: prompt_tokens,
-        max_new: parsed.max_tokens,
-        params: SamplingParams {
-            temperature: parsed.temperature,
-            top_k: parsed.top_k,
-            top_p: parsed.top_p,
-            seed: parsed.seed,
-        },
-    });
-    if submitted.is_err() {
-        shared.routes.lock().expect("routes lock").remove(&id);
-        let body = serde_json::to_vec(&ErrorResponse::new(
-            "engine_unavailable",
-            "driver has shut down; request was not submitted",
-        ))
-        .expect("serialise error");
-        let _ = respond(stream, 503, "application/json", &body);
+    let params = SamplingParams {
+        temperature: parsed.temperature,
+        top_k: parsed.top_k,
+        top_p: parsed.top_p,
+        seed: parsed.seed,
+    };
+    let Some((id, rx)) = submit(stream, shared, prompt_tokens, parsed.max_tokens, params) else {
         return;
-    }
-
+    };
     let result = if parsed.stream {
-        stream_completion(stream, shared, &parsed, id, prompt_len, &rx)
+        stream_completion(stream, shared, id, prompt_len, &rx)
     } else {
         blocking_completion(stream, shared, id, prompt_len, &rx)
     };
-    shared.routes.lock().expect("routes lock").remove(&id);
+    shared.routes().remove(&id);
     let _ = result;
 }
 
@@ -343,28 +330,16 @@ fn blocking_completion(
                 }
             }
             Ok(StreamEvent::Rejected { .. }) => {
-                let body = serde_json::to_vec(&ErrorResponse::new(
-                    "invalid_request_error",
-                    "request exceeds the KV cache capacity",
-                ))
-                .expect("serialise error");
-                return respond(stream, 400, "application/json", &body);
+                let msg = "request exceeds the KV cache capacity";
+                return respond_error(stream, 400, "invalid_request_error", msg);
             }
             Ok(StreamEvent::Failed { .. }) => {
                 // Partial tokens (if any) are discarded with the buffer:
                 // a Failed event voids everything streamed before it.
-                let body = serde_json::to_vec(&ErrorResponse::new(
-                    "server_error",
-                    "request failed; the runtime exhausted its recovery budget",
-                ))
-                .expect("serialise error");
-                return respond(stream, 500, "application/json", &body);
+                let msg = "request failed; the runtime exhausted its recovery budget";
+                return respond_error(stream, 500, "server_error", msg);
             }
-            Err(_) => {
-                let body = serde_json::to_vec(&ErrorResponse::new("server_error", "generation timed out"))
-                    .expect("serialise error");
-                return respond(stream, 500, "application/json", &body);
-            }
+            Err(_) => return respond_error(stream, 500, "server_error", "generation timed out"),
         }
     }
     let resp = CompletionResponse {
@@ -389,7 +364,6 @@ fn blocking_completion(
 fn stream_completion(
     stream: &mut TcpStream,
     shared: &Shared,
-    _parsed: &CompletionRequest,
     id: u64,
     prompt_len: usize,
     rx: &Receiver<StreamEvent>,
@@ -571,6 +545,43 @@ mod tests {
         assert!(many.starts_with("HTTP/1.1 431"), "{many}");
         let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn deeply_nested_json_is_refused_and_the_server_stays_up() {
+        let server = start();
+        let addr = server.addr();
+        // Under the body cap; once a parser stack overflow that aborted
+        // the process.
+        let nested = "[".repeat(500_000);
+        let resp = post(addr, "/v1/completions", &nested);
+        assert!(resp.starts_with("HTTP/1.1 400"), "{}", &resp[..resp.len().min(200)]);
+        assert!(json_body(&resp)["error"]["message"].as_str().is_some_and(|m| m.contains("recursion limit")));
+        let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_route_table_still_streams() {
+        let server = start();
+        // Poison the lock the way a panicking handler would.
+        let shared = Arc::clone(&server.shared);
+        let _ = std::thread::spawn(move || {
+            let _guard = shared.routes.lock().expect("not yet poisoned");
+            panic!("poison the routes lock");
+        })
+        .join();
+        assert!(server.shared.routes.lock().is_err(), "lock must now be poisoned");
+        let resp = post(
+            server.addr(),
+            "/v1/completions",
+            r#"{"prompt":"abc","max_tokens":4,"stream":true}"#,
+        );
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        assert_eq!(resp.matches("data: ").count(), 5, "4 tokens + [DONE]: {resp}");
+        assert!(resp.contains("[DONE]"));
         server.shutdown();
     }
 

@@ -4,12 +4,13 @@
 //! user interaction, a *driver worker* that schedules micro-batches, owns
 //! the KV cache and broadcasts metadata, and *ordinary workers* that
 //! execute pipeline stages, passing activations point-to-point. This crate
-//! reproduces that architecture with OS threads and crossbeam channels
-//! (standing in for ZeroMQ metadata sockets and NCCL activation streams):
+//! reproduces that architecture with OS threads and `std::sync::mpsc`
+//! channels (standing in for ZeroMQ metadata sockets and NCCL activation
+//! streams):
 //!
 //! * **Non-blocking pipeline operations** — workers block only on their own
-//!   inputs; the driver multiplexes request intake and batch results with
-//!   `select!`, never stalling the pipeline.
+//!   inputs; the driver reads one inbox carrying requests, batch results
+//!   and worker exits, never stalling the pipeline, and sleeps when idle.
 //! * **Decoupled frontend–backend processing** — callers talk to the
 //!   [`server::Server`] handle over channels; token streaming is
 //!   independent of model execution. The driver sends each completed

@@ -88,11 +88,17 @@ pub struct BatchResult {
     pub tokens: Vec<(u64, u32)>,
 }
 
-/// Frontend → driver control messages.
+/// Everything the driver's single inbox carries: frontend requests and
+/// control, plus what the downstream stages report.
 #[derive(Debug, Clone)]
 pub enum DriverMsg {
     /// Serve this request.
     Submit(GenRequest),
     /// Finish in-flight batches, stop workers, exit.
     Shutdown,
+    /// The last stage finished a micro-batch.
+    Result(BatchResult),
+    /// A downstream worker thread ended. Outside shutdown that means the
+    /// stage is dead and the pipeline must recover.
+    StageExit,
 }
