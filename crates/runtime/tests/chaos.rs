@@ -86,8 +86,8 @@ fn killed_middle_worker_recovers_bit_identically() {
 
 #[test]
 fn killed_last_stage_recovers_bit_identically() {
-    // The last stage owns the result channel: its death is detected via
-    // result_rx disconnection rather than a failed send.
+    // The last stage hands results, not activations, to the driver: its
+    // death reaches the driver as a `StageExit` message in its inbox.
     let reqs = workload(5);
     let want = baseline(3, reqs.clone());
     let (out, drv) = run(chaos_cfg(3, FaultPlan::parse("kill:2@1").expect("spec")), reqs);
