@@ -4,7 +4,8 @@
 //! Throttling costs ≈0.045 ms per iteration of "lightweight system state
 //! collection and few mathematical computations" — here the full
 //! view-build + plan step must land well under a model forward pass
-//! (20–800 ms). The remaining groups size the substrates: KV cache
+//! (20–800 ms), and so must one whole scheduling step (view, plan, KV
+//! admission, commit, completion) at an overloaded point's queue depth. The remaining groups size the substrates: KV cache
 //! operations, the CPU transformer's decode step, and a complete
 //! discrete-event serving experiment. `auditor_closed_loop_history` checks
 //! that the always-on invariant auditor's cost per request stays flat as
@@ -13,7 +14,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gllm_core::sarathi::SarathiServe;
 use gllm_core::throttle::TokenThrottle;
-use gllm_core::{blocks_to_append, BatchPlan, DecodeSlot, PrefillChunk, RequestPool, SchedulePolicy};
+use gllm_core::{
+    admit, blocks_to_append, BatchPlan, DecodeSlot, PrefillChunk, RequestPool, SchedulePolicy, SeqSlot,
+};
 use gllm_kvcache::{Blocks, KvCacheManager, Tokens};
 use gllm_metrics::{InvariantAuditor, KvObservation};
 use gllm_model::{ClusterSpec, ModelConfig};
@@ -25,15 +28,17 @@ use gllm_workload::{Dataset, Trace};
 use std::cell::RefCell;
 use std::hint::black_box;
 
-/// A pool + cache mid-flight: 64 decoding sequences, 8 waiting prompts.
-fn loaded_state() -> (RequestPool, KvCacheManager) {
+/// A pool + cache mid-flight: `decoding` sequences past a 256-token
+/// prompt, then `waiting` 1024-token prompts, over `blocks` KV blocks.
+fn loaded_state(decoding: u64, waiting: u64, blocks: usize) -> (RequestPool, KvCacheManager) {
     let mut pool = RequestPool::new(1024);
-    let mut kv = KvCacheManager::new(Blocks(16_384), Tokens(16));
-    for id in 0..64u64 {
-        pool.add(id, 256, 128);
+    let mut kv = KvCacheManager::new(Blocks(blocks), Tokens(16));
+    for id in 0..decoding {
+        let slot = pool.add(id, 256, 128);
         let plan = BatchPlan {
             prefill: vec![PrefillChunk {
                 seq: id,
+                slot,
                 tokens: Tokens(256),
                 context_before: Tokens(0),
                 completes_prompt: true,
@@ -44,14 +49,14 @@ fn loaded_state() -> (RequestPool, KvCacheManager) {
         pool.commit(&plan);
         pool.complete(&plan);
     }
-    for id in 64..72u64 {
+    for id in decoding..decoding + waiting {
         pool.add(id, 1024, 128);
     }
     (pool, kv)
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    let (pool, kv) = loaded_state();
+    let (pool, kv) = loaded_state(64, 8, 16_384);
     let throttle = TokenThrottle::default();
     let sarathi = SarathiServe::default();
     let mut g = c.benchmark_group("scheduler_overhead");
@@ -66,6 +71,27 @@ fn bench_scheduler(c: &mut Criterion) {
             let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
             black_box(sarathi.plan(&view))
         })
+    });
+    // The depth of `sim_sweep`'s overloaded points: ~110 decoding and
+    // ~2 000 waiting sequences. Each iteration steps a fresh copy; the
+    // used copy is parked and dropped in the next (untimed) setup.
+    let (pool, kv) = loaded_state(110, 2_000, 65_536);
+    let parked = RefCell::new(None);
+    g.bench_function("token_throttle_full_step_2000_waiting", |b| {
+        b.iter_batched(
+            || {
+                parked.borrow_mut().take();
+                (pool.clone(), kv.clone())
+            },
+            |(mut pool, mut kv)| {
+                let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
+                let admission = admit(throttle.plan(&view), &mut pool, &mut kv);
+                pool.commit(&admission.plan);
+                black_box(pool.complete(&admission.plan));
+                *parked.borrow_mut() = Some((pool, kv));
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 }
@@ -190,9 +216,15 @@ impl AuditLoop {
             let mut plan = BatchPlan::default();
             for &(seq, context_before, _) in &self.live {
                 if context_before.is_zero() {
-                    plan.prefill.push(PrefillChunk { seq, tokens: Tokens(64), context_before, completes_prompt: true });
+                    plan.prefill.push(PrefillChunk {
+                        seq,
+                        slot: SeqSlot::default(),
+                        tokens: Tokens(64),
+                        context_before,
+                        completes_prompt: true,
+                    });
                 } else {
-                    plan.decode.push(DecodeSlot { seq, context_before });
+                    plan.decode.push(DecodeSlot { seq, slot: SeqSlot::default(), context_before });
                 }
             }
             let before = self.obs();

@@ -71,10 +71,9 @@ pub fn admit(proposed: BatchPlan, pool: &mut RequestPool, kv: &mut KvCacheManage
         }
         kv.append(chunk.seq, take).expect("sized to fit"); // lint:allow(panic-freedom): take is clamped to max_appendable above
         prefill.push(PrefillChunk {
-            seq: chunk.seq,
             tokens: take,
-            context_before: chunk.context_before,
             completes_prompt: chunk.completes_prompt && take == chunk.tokens,
+            ..chunk
         });
     }
 
@@ -89,10 +88,11 @@ mod tests {
     fn decoding_pool(ids: &[u64], prompt: usize, kv: &mut KvCacheManager) -> RequestPool {
         let mut pool = RequestPool::new(1024);
         for &id in ids {
-            pool.add(id, prompt, 50);
+            let slot = pool.add(id, prompt, 50);
             let plan = BatchPlan {
                 prefill: vec![PrefillChunk {
                     seq: id,
+                    slot,
                     tokens: Tokens(prompt),
                     context_before: Tokens(0),
                     completes_prompt: true,
@@ -106,6 +106,10 @@ mod tests {
         pool
     }
 
+    fn decode(pool: &RequestPool, seq: u64) -> DecodeSlot {
+        DecodeSlot { seq, slot: pool.slot(seq).expect("live"), context_before: Tokens(16) }
+    }
+
     #[test]
     fn admits_what_fits_without_preemption() {
         let mut kv = KvCacheManager::new(gllm_kvcache::Blocks(64), Tokens(16));
@@ -113,8 +117,8 @@ mod tests {
         let plan = BatchPlan {
             prefill: vec![],
             decode: vec![
-                DecodeSlot { seq: 1, context_before: Tokens(16) },
-                DecodeSlot { seq: 2, context_before: Tokens(16) },
+                decode(&pool, 1),
+                decode(&pool, 2),
             ],
         };
         let adm = admit(plan, &mut pool, &mut kv);
@@ -130,7 +134,7 @@ mod tests {
         let mut pool = decoding_pool(&[1, 2, 3], 16, &mut kv);
         let plan = BatchPlan {
             prefill: vec![],
-            decode: vec![DecodeSlot { seq: 1, context_before: Tokens(16) }],
+            decode: vec![decode(&pool, 1)],
         };
         let adm = admit(plan, &mut pool, &mut kv);
         assert_eq!(adm.plan.decode.len(), 1);
@@ -148,8 +152,8 @@ mod tests {
         let plan = BatchPlan {
             prefill: vec![],
             decode: vec![
-                DecodeSlot { seq: 1, context_before: Tokens(16) },
-                DecodeSlot { seq: 2, context_before: Tokens(16) },
+                decode(&pool, 1),
+                decode(&pool, 2),
             ],
         };
         let adm = admit(plan, &mut pool, &mut kv);
@@ -170,9 +174,9 @@ mod tests {
         let plan = BatchPlan {
             prefill: vec![],
             decode: vec![
-                DecodeSlot { seq: 1, context_before: Tokens(16) },
-                DecodeSlot { seq: 2, context_before: Tokens(16) },
-                DecodeSlot { seq: 3, context_before: Tokens(16) },
+                decode(&pool, 1),
+                decode(&pool, 2),
+                decode(&pool, 3),
             ],
         };
         let adm = admit(plan, &mut pool, &mut kv);
@@ -186,10 +190,11 @@ mod tests {
     fn prefill_chunks_trim_to_free_space() {
         let mut kv = KvCacheManager::new(gllm_kvcache::Blocks(4), Tokens(16));
         let mut pool = RequestPool::new(1024);
-        pool.add(1, 100, 5);
+        let slot = pool.add(1, 100, 5);
         let plan = BatchPlan {
             prefill: vec![PrefillChunk {
                 seq: 1,
+                slot,
                 tokens: Tokens(100),
                 context_before: Tokens(0),
                 completes_prompt: true,
@@ -206,16 +211,16 @@ mod tests {
     fn zero_space_drops_prefill_entirely() {
         let mut kv = KvCacheManager::new(gllm_kvcache::Blocks(1), Tokens(16));
         let mut pool = RequestPool::new(1024);
-        pool.add(1, 16, 5);
-        pool.add(2, 16, 5);
+        let s1 = pool.add(1, 16, 5);
+        let s2 = pool.add(2, 16, 5);
         let p1 = BatchPlan {
-            prefill: vec![PrefillChunk { seq: 1, tokens: Tokens(16), context_before: Tokens(0), completes_prompt: true }],
+            prefill: vec![PrefillChunk { seq: 1, slot: s1, tokens: Tokens(16), context_before: Tokens(0), completes_prompt: true }],
             decode: vec![],
         };
         let adm1 = admit(p1, &mut pool, &mut kv);
         pool.commit(&adm1.plan);
         let p2 = BatchPlan {
-            prefill: vec![PrefillChunk { seq: 2, tokens: Tokens(16), context_before: Tokens(0), completes_prompt: true }],
+            prefill: vec![PrefillChunk { seq: 2, slot: s2, tokens: Tokens(16), context_before: Tokens(0), completes_prompt: true }],
             decode: vec![],
         };
         let adm2 = admit(p2, &mut pool, &mut kv);

@@ -43,6 +43,7 @@ impl SchedulePolicy for BatchLevelPolicy {
             }
             prefill.push(PrefillChunk {
                 seq: w.seq,
+                slot: w.slot,
                 tokens: w.remaining_prefill,
                 context_before: w.context_before,
                 completes_prompt: true,
@@ -60,6 +61,7 @@ impl SchedulePolicy for BatchLevelPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SeqSlot;
     use crate::policy::{DecodableSeq, WaitingSeq};
     use gllm_units::Tokens;
 
@@ -74,12 +76,13 @@ mod tests {
                 .iter()
                 .map(|&(seq, rem)| WaitingSeq {
                     seq,
+                    slot: SeqSlot::default(),
                     remaining_prefill: Tokens(rem),
                     context_before: Tokens(0),
                 })
                 .collect(),
             decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, context_before: Tokens(64) })
+                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
                 .collect(),
             total_decode_seqs: total_decode,
             kv_free_rate: 1.0,

@@ -46,7 +46,7 @@ pub mod td_pipe;
 pub mod throttle;
 
 pub use admission::{admit, Admission};
-pub use plan::{BatchPlan, DecodeSlot, PrefillChunk};
+pub use plan::{BatchPlan, DecodeSlot, PrefillChunk, SeqSlot};
 pub use policy::{
     blocks_to_append, carve_prefill_chunks_block_aware, prefill_kv_after_decode, DecodableSeq,
     SchedulePolicy, ScheduleView, WaitingSeq,

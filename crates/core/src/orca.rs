@@ -51,6 +51,7 @@ impl SchedulePolicy for OrcaPolicy {
             }
             prefill.push(PrefillChunk {
                 seq: w.seq,
+                slot: w.slot,
                 tokens: w.remaining_prefill,
                 context_before: w.context_before,
                 completes_prompt: true,
@@ -69,6 +70,7 @@ impl SchedulePolicy for OrcaPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SeqSlot;
     use crate::policy::{DecodableSeq, WaitingSeq};
     use gllm_units::Tokens;
 
@@ -78,12 +80,13 @@ mod tests {
                 .iter()
                 .map(|&(seq, rem)| WaitingSeq {
                     seq,
+                    slot: SeqSlot::default(),
                     remaining_prefill: Tokens(rem),
                     context_before: Tokens(0),
                 })
                 .collect(),
             decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, context_before: Tokens(64) })
+                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
                 .collect(),
             total_decode_seqs: decodable,
             kv_free_rate: 1.0,

@@ -3,11 +3,22 @@
 use gllm_units::Tokens;
 use serde::{Deserialize, Serialize};
 
+/// A handle to a live sequence in its [`crate::RequestPool`]: the index of
+/// the pool's slot that holds it. Views hand it out and plans carry it
+/// beside the id, so the pool applies a plan without an id lookup. A slot
+/// is reused once its sequence leaves the pool, so the pool checks the id
+/// it holds against the plan's on every use. The default handle names
+/// slot 0; it serves plans that never reach a pool.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct SeqSlot(pub(crate) u32);
+
 /// A chunk of one sequence's prefill assigned to a micro-batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrefillChunk {
     /// Sequence receiving the chunk.
     pub seq: u64,
+    /// The sequence's pool slot.
+    pub slot: SeqSlot,
     /// Prompt tokens in this chunk (≥ 1).
     pub tokens: Tokens,
     /// KV context already committed before this chunk.
@@ -22,6 +33,8 @@ pub struct PrefillChunk {
 pub struct DecodeSlot {
     /// Sequence taking the step.
     pub seq: u64,
+    /// The sequence's pool slot.
+    pub slot: SeqSlot,
     /// KV context committed before this step.
     pub context_before: Tokens,
 }
@@ -83,20 +96,22 @@ mod tests {
             prefill: vec![
                 PrefillChunk {
                     seq: 1,
+                    slot: SeqSlot::default(),
                     tokens: Tokens(512),
                     context_before: Tokens(0),
                     completes_prompt: false,
                 },
                 PrefillChunk {
                     seq: 2,
+                    slot: SeqSlot::default(),
                     tokens: Tokens(100),
                     context_before: Tokens(50),
                     completes_prompt: true,
                 },
             ],
             decode: vec![
-                DecodeSlot { seq: 3, context_before: Tokens(200) },
-                DecodeSlot { seq: 4, context_before: Tokens(30) },
+                DecodeSlot { seq: 3, slot: SeqSlot::default(), context_before: Tokens(200) },
+                DecodeSlot { seq: 4, slot: SeqSlot::default(), context_before: Tokens(30) },
             ],
         };
         assert_eq!(plan.prefill_tokens(), Tokens(612));

@@ -12,13 +12,15 @@
 
 use gllm_units::{Blocks, Tokens};
 
-use crate::plan::{BatchPlan, DecodeSlot, PrefillChunk};
+use crate::plan::{BatchPlan, DecodeSlot, PrefillChunk, SeqSlot};
 
 /// A waiting (prefill-schedulable) sequence, FCFS order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitingSeq {
     /// Sequence id.
     pub seq: u64,
+    /// The sequence's pool slot (copied into the chunks planned for it).
+    pub slot: SeqSlot,
     /// Prompt tokens still to prefill.
     pub remaining_prefill: Tokens,
     /// KV context already committed (previous chunks).
@@ -30,6 +32,8 @@ pub struct WaitingSeq {
 pub struct DecodableSeq {
     /// Sequence id.
     pub seq: u64,
+    /// The sequence's pool slot (copied into its decode slot).
+    pub slot: SeqSlot,
     /// KV context committed before the next step.
     pub context_before: Tokens,
 }
@@ -160,6 +164,7 @@ pub fn carve_prefill_chunks_block_aware(
         }
         chunks.push(PrefillChunk {
             seq: w.seq,
+            slot: w.slot,
             tokens: take,
             context_before: w.context_before,
             completes_prompt: take == w.remaining_prefill,
@@ -217,6 +222,7 @@ pub fn carve_prefill_chunks_weighted(
         let cost = n + (c * n + n * n / 2.0) / quad_ref;
         chunks.push(PrefillChunk {
             seq: w.seq,
+            slot: w.slot,
             tokens: take,
             context_before: w.context_before,
             completes_prompt: take == w.remaining_prefill,
@@ -232,7 +238,7 @@ pub fn take_decodes(decodable: &[DecodableSeq], n: usize) -> Vec<DecodeSlot> {
     decodable
         .iter()
         .take(n)
-        .map(|d| DecodeSlot { seq: d.seq, context_before: d.context_before })
+        .map(|d| DecodeSlot { seq: d.seq, slot: d.slot, context_before: d.context_before })
         .collect()
 }
 
@@ -247,6 +253,7 @@ mod tests {
             .iter()
             .map(|&(seq, rem)| WaitingSeq {
                 seq,
+                slot: SeqSlot::default(),
                 remaining_prefill: Tokens(rem),
                 context_before: Tokens(0),
             })
@@ -301,11 +308,13 @@ mod tests {
     fn weighted_carving_shrinks_long_context_chunks() {
         let near = vec![WaitingSeq {
             seq: 1,
+            slot: SeqSlot::default(),
             remaining_prefill: Tokens(4096),
             context_before: Tokens(0),
         }];
         let far = vec![WaitingSeq {
             seq: 2,
+            slot: SeqSlot::default(),
             remaining_prefill: Tokens(4096),
             context_before: Tokens(16_384),
         }];
@@ -325,11 +334,13 @@ mod tests {
         let w = vec![
             WaitingSeq {
                 seq: 1,
+                slot: SeqSlot::default(),
                 remaining_prefill: Tokens(700),
                 context_before: Tokens(2000),
             },
             WaitingSeq {
                 seq: 2,
+                slot: SeqSlot::default(),
                 remaining_prefill: Tokens(900),
                 context_before: Tokens(0),
             },
@@ -376,6 +387,7 @@ mod tests {
         // free blocks it may still grow by exactly that slack.
         let w = vec![WaitingSeq {
             seq: 1,
+            slot: SeqSlot::default(),
             remaining_prefill: Tokens(300),
             context_before: Tokens(20),
         }];
@@ -391,11 +403,13 @@ mod tests {
         let w = vec![
             WaitingSeq {
                 seq: 1,
+                slot: SeqSlot::default(),
                 remaining_prefill: Tokens(100),
                 context_before: Tokens(0),
             },
             WaitingSeq {
                 seq: 2,
+                slot: SeqSlot::default(),
                 remaining_prefill: Tokens(100),
                 context_before: Tokens(24),
             },
@@ -420,9 +434,9 @@ mod tests {
         // 3 free blocks of 16; two decodes at block-aligned contexts each
         // need a fresh block, one mid-block decode needs none.
         let decode = vec![
-            DecodeSlot { seq: 1, context_before: Tokens(32) },
-            DecodeSlot { seq: 2, context_before: Tokens(48) },
-            DecodeSlot { seq: 3, context_before: Tokens(33) },
+            DecodeSlot { seq: 1, slot: SeqSlot::default(), context_before: Tokens(32) },
+            DecodeSlot { seq: 2, slot: SeqSlot::default(), context_before: Tokens(48) },
+            DecodeSlot { seq: 3, slot: SeqSlot::default(), context_before: Tokens(33) },
         ];
         assert_eq!(prefill_kv_after_decode(Tokens(48), &decode, Tokens(16)), Tokens(16));
         // Decode growth alone exhausts KV → nothing left for prefill.
@@ -434,8 +448,8 @@ mod tests {
     #[test]
     fn take_decodes_is_fcfs_prefix() {
         let d = vec![
-            DecodableSeq { seq: 5, context_before: Tokens(10) },
-            DecodableSeq { seq: 6, context_before: Tokens(20) },
+            DecodableSeq { seq: 5, slot: SeqSlot::default(), context_before: Tokens(10) },
+            DecodableSeq { seq: 6, slot: SeqSlot::default(), context_before: Tokens(20) },
         ];
         let slots = take_decodes(&d, 1);
         assert_eq!(slots.len(), 1);

@@ -88,6 +88,7 @@ impl SchedulePolicy for SarathiServe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SeqSlot;
     use crate::policy::{DecodableSeq, WaitingSeq};
 
     fn view(waiting: &[(u64, usize)], decodable: usize, kv_free_tokens: usize) -> ScheduleView {
@@ -96,12 +97,13 @@ mod tests {
                 .iter()
                 .map(|&(seq, rem)| WaitingSeq {
                     seq,
+                    slot: SeqSlot::default(),
                     remaining_prefill: Tokens(rem),
                     context_before: Tokens(0),
                 })
                 .collect(),
             decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, context_before: Tokens(64) })
+                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
                 .collect(),
             total_decode_seqs: decodable,
             kv_free_rate: 1.0,

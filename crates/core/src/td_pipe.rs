@@ -142,6 +142,7 @@ impl SchedulePolicy for TdPipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SeqSlot;
     use crate::policy::{DecodableSeq, WaitingSeq};
 
     fn view(waiting: usize, decodable: usize, total_decode: usize) -> ScheduleView {
@@ -149,12 +150,13 @@ mod tests {
             waiting: (0..waiting)
                 .map(|i| WaitingSeq {
                     seq: i as u64,
+                    slot: SeqSlot::default(),
                     remaining_prefill: Tokens(500),
                     context_before: Tokens(0),
                 })
                 .collect(),
             decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 1000 + i as u64, context_before: Tokens(128) })
+                .map(|i| DecodableSeq { seq: 1000 + i as u64, slot: SeqSlot::default(), context_before: Tokens(128) })
                 .collect(),
             total_decode_seqs: total_decode,
             kv_free_rate: 1.0,

@@ -197,6 +197,7 @@ impl SchedulePolicy for TokenThrottle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SeqSlot;
     use crate::policy::{DecodableSeq, WaitingSeq};
     use proptest::prelude::*;
 
@@ -205,6 +206,7 @@ mod tests {
             waiting: if wp > 0 {
                 vec![WaitingSeq {
                     seq: 1,
+                    slot: SeqSlot::default(),
                     remaining_prefill: Tokens(wp),
                     context_before: Tokens(0),
                 }]
@@ -212,7 +214,7 @@ mod tests {
                 vec![]
             },
             decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, context_before: Tokens(64) })
+                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
                 .collect(),
             total_decode_seqs: total_decode,
             kv_free_rate: kv_free,

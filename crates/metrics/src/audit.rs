@@ -647,12 +647,13 @@ impl InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gllm_core::{BatchPlan, DecodeSlot, PrefillChunk};
+    use gllm_core::{BatchPlan, DecodeSlot, PrefillChunk, SeqSlot};
     use proptest::prelude::*;
 
     fn chunk(seq: u64, tokens: usize, context_before: usize, completes: bool) -> PrefillChunk {
         PrefillChunk {
             seq,
+            slot: SeqSlot::default(),
             tokens: Tokens(tokens),
             context_before: Tokens(context_before),
             completes_prompt: completes,
@@ -660,7 +661,7 @@ mod tests {
     }
 
     fn slot(seq: u64, context_before: usize) -> DecodeSlot {
-        DecodeSlot { seq, context_before: Tokens(context_before) }
+        DecodeSlot { seq, slot: SeqSlot::default(), context_before: Tokens(context_before) }
     }
 
     fn obs(free: usize, used: usize) -> KvObservation {

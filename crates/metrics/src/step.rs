@@ -107,10 +107,15 @@ impl SchedulerStep {
             .is_some_and(|t| t <= self.kv.token_capacity().get())
     }
 
-    /// A request arrives. Empty requests and ones that can never fit are
-    /// rejected (the auditor sees them arrive and abort); the rest join
-    /// the pool. Returns whether the request was admitted.
+    /// A request arrives. An id that is already live is rejected unseen:
+    /// the auditor's record of it belongs to the live request. Empty
+    /// requests and ones that can never fit are rejected (the auditor sees
+    /// them arrive and abort); the rest join the pool. Returns whether the
+    /// request was admitted.
     pub fn arrive(&mut self, id: u64, prompt_len: usize, max_new: usize) -> bool {
+        if self.pool.slot(id).is_some() {
+            return false;
+        }
         if let Some(a) = self.auditor.as_mut() {
             a.on_arrival(id);
         }
@@ -324,6 +329,7 @@ mod tests {
                 free -= tokens;
                 prefill.push(PrefillChunk {
                     seq: w.seq,
+                    slot: w.slot,
                     tokens,
                     context_before: w.context_before,
                     completes_prompt: tokens == w.remaining_prefill,
@@ -488,6 +494,19 @@ mod tests {
             schedule(&mut step, &mut rec, &Greedy { chunk: 64 }),
             Scheduled::Batch { .. }
         ));
+        assert_clean(step);
+    }
+
+    #[test]
+    fn a_live_id_is_refused_without_touching_the_live_request() {
+        let (mut step, mut rec) = (step(8), MetricsRecorder::new());
+        assert!(arrive(&mut step, &mut rec, 1, 8, 2));
+        assert!(!step.arrive(1, 4, 1), "a live id is refused");
+        assert_eq!(step.pool.seq(1).map(|s| s.prompt_len), Some(8));
+        let Scheduled::Batch { id, .. } = schedule(&mut step, &mut rec, &Greedy { chunk: 64 }) else {
+            panic!("the live request must schedule");
+        };
+        step.complete(0.0, id).expect("in flight");
         assert_clean(step);
     }
 }

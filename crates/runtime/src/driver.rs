@@ -325,8 +325,14 @@ impl Driver {
 
     fn on_submit(&mut self, r: GenRequest) {
         let now = self.now();
-        self.recorder.on_arrival(r.id, now, r.prompt.len());
-        if !self.step.arrive(r.id, r.prompt.len(), r.max_new) {
+        // An id already seen is refused before anything records it: its
+        // timeline (and, while live, its pool entry) belongs to the first
+        // request under that id.
+        let seen = self.recorder.timeline(r.id).is_some();
+        if !seen {
+            self.recorder.on_arrival(r.id, now, r.prompt.len());
+        }
+        if seen || !self.step.arrive(r.id, r.prompt.len(), r.max_new) {
             let _ = self.stream_tx.send(vec![StreamEvent::Rejected { seq: r.id }]);
             return;
         }
@@ -604,7 +610,7 @@ fn build_meta(
         let Some(table) = kvm.table(c.seq) else {
             return Err(MetaIntegrityError { seq: c.seq, what: "KV table" });
         };
-        let Some(state) = pool.seq(c.seq) else {
+        let Some(state) = pool.seq_at(c.slot, c.seq) else {
             return Err(MetaIntegrityError { seq: c.seq, what: "pool entry" });
         };
         let start = c.context_before.get();
@@ -628,7 +634,7 @@ fn build_meta(
         let Some(table) = kvm.table(d.seq) else {
             return Err(MetaIntegrityError { seq: d.seq, what: "KV table" });
         };
-        let Some(state) = pool.seq(d.seq) else {
+        let Some(state) = pool.seq_at(d.slot, d.seq) else {
             return Err(MetaIntegrityError { seq: d.seq, what: "pool entry" });
         };
         let start = d.context_before.get();

@@ -7,7 +7,8 @@ use gllm_transformer::sampler::SamplingParams;
 /// A generation request submitted by the frontend.
 #[derive(Debug, Clone)]
 pub struct GenRequest {
-    /// Unique request id (doubles as the sequence id).
+    /// Unique request id (doubles as the sequence id); a reused id is
+    /// rejected.
     pub id: u64,
     /// Prompt token ids (non-empty).
     pub prompt: Vec<u32>,
@@ -29,7 +30,8 @@ pub enum StreamEvent {
         /// Whether this token completed the request.
         finished: bool,
     },
-    /// The request can never be served (context exceeds KV capacity).
+    /// The request can never be served: it is empty, its context exceeds
+    /// KV capacity, or its id was already used on this server.
     Rejected {
         /// Sequence id.
         seq: u64,

@@ -603,6 +603,31 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_live_id_is_rejected_and_serving_continues() {
+        let server = start(RuntimeConfig::tiny(2), Arc::new(TokenThrottle::default()));
+        let prompt = vec![5, 9, 33, 120, 7];
+        server.submit(req(1, prompt.clone(), 24)).expect("driver live");
+        server.submit(req(1, vec![1, 2, 3], 4)).expect("driver live");
+        let (mut first, mut rejected, mut done) = (Vec::new(), 0, false);
+        while !done {
+            match server.next_event(Duration::from_secs(30)).expect("runtime live") {
+                StreamEvent::Token { seq: 1, token, finished } => {
+                    first.push(token);
+                    done = finished;
+                }
+                StreamEvent::Rejected { seq: 1 } => rejected += 1,
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        assert_eq!(rejected, 1, "the second request under id 1 is refused");
+        assert_eq!(first, reference_generation(&prompt, 24), "the live request is untouched");
+        // The driver survived: a later request is served in full.
+        let out = server.generate_all(vec![req(2, vec![4, 8, 15], 5)]).expect("runtime stalled");
+        assert_eq!(out[&2], reference_generation(&[4, 8, 15], 5));
+        server.shutdown();
+    }
+
+    #[test]
     fn kv_pressure_preempts_and_recomputes_without_changing_outputs() {
         // Tiny cache: 16 blocks × 4 = 64 tokens for 4 requests needing
         // 4 × (10 + 8) = 72 tokens at peak.

@@ -765,6 +765,7 @@ mod tests {
                 .first()
                 .map(|w| PrefillChunk {
                     seq: w.seq,
+                    slot: w.slot,
                     tokens: w.remaining_prefill.min(kv_left),
                     context_before: w.context_before,
                     completes_prompt: w.remaining_prefill <= kv_left,
