@@ -1,17 +1,19 @@
-//! Criterion micro-benchmarks.
+//! Micro-benchmarks, each reported as the median per-iteration time with
+//! its quartiles over repeated windows (`gllm_bench::timing`).
 //!
 //! `scheduler_overhead` verifies the paper's §3.4 claim that Token
 //! Throttling costs ≈0.045 ms per iteration of "lightweight system state
 //! collection and few mathematical computations" — here the full
 //! view-build + plan step must land well under a model forward pass
 //! (20–800 ms), and so must one whole scheduling step (view, plan, KV
-//! admission, commit, completion) at an overloaded point's queue depth. The remaining groups size the substrates: KV cache
-//! operations, the CPU transformer's decode step, and a complete
-//! discrete-event serving experiment. `auditor_closed_loop_history` checks
-//! that the always-on invariant auditor's cost per request stays flat as
-//! completed requests accumulate.
+//! admission, commit, completion) at an overloaded point's queue depth.
+//! The remaining groups size the substrates: KV cache operations, the CPU
+//! transformer's decode step, and a complete discrete-event serving
+//! experiment. `auditor_closed_loop_history` checks that the always-on
+//! invariant auditor's cost per request stays flat as completed requests
+//! accumulate.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use gllm_bench::timing::{per_iteration, per_iteration_batched, Spread, WINDOWS};
 use gllm_core::sarathi::SarathiServe;
 use gllm_core::throttle::TokenThrottle;
 use gllm_core::{
@@ -22,7 +24,6 @@ use gllm_metrics::{InvariantAuditor, KvObservation};
 use gllm_model::{ClusterSpec, ModelConfig};
 use gllm_sim::engine::EngineConfig;
 use gllm_sim::{run_experiment, Deployment, SystemConfig};
-use gllm_transformer::sampler::SamplingParams;
 use gllm_transformer::CausalLM;
 use gllm_workload::{Dataset, Trace};
 use std::cell::RefCell;
@@ -55,109 +56,98 @@ fn loaded_state(decoding: u64, waiting: u64, blocks: usize) -> (RequestPool, KvC
     (pool, kv)
 }
 
-fn bench_scheduler(c: &mut Criterion) {
+/// Print one benchmark's line: median [q1–q3] time per iteration.
+fn report(label: &str, s: Spread) {
+    println!("{label:<56} {s}/iter  (median [q1–q3] of {WINDOWS} windows)");
+}
+
+fn bench_scheduler() {
     let (pool, kv) = loaded_state(64, 8, 16_384);
     let throttle = TokenThrottle::default();
     let sarathi = SarathiServe::default();
-    let mut g = c.benchmark_group("scheduler_overhead");
-    g.bench_function("token_throttle_view_plus_plan", |b| {
-        b.iter(|| {
-            let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
-            black_box(throttle.plan(&view))
-        })
+    let throttle_plan = per_iteration(|| {
+        let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
+        black_box(throttle.plan(&view))
     });
-    g.bench_function("sarathi_view_plus_plan", |b| {
-        b.iter(|| {
-            let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
-            black_box(sarathi.plan(&view))
-        })
+    report("scheduler_overhead/token_throttle_view_plus_plan", throttle_plan);
+    let sarathi_plan = per_iteration(|| {
+        let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
+        black_box(sarathi.plan(&view))
     });
+    report("scheduler_overhead/sarathi_view_plus_plan", sarathi_plan);
     // The depth of `sim_sweep`'s overloaded points: ~110 decoding and
     // ~2 000 waiting sequences. Each iteration steps a fresh copy; the
     // used copy is parked and dropped in the next (untimed) setup.
     let (pool, kv) = loaded_state(110, 2_000, 65_536);
     let parked = RefCell::new(None);
-    g.bench_function("token_throttle_full_step_2000_waiting", |b| {
-        b.iter_batched(
-            || {
-                parked.borrow_mut().take();
-                (pool.clone(), kv.clone())
-            },
-            |(mut pool, mut kv)| {
-                let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
-                let admission = admit(throttle.plan(&view), &mut pool, &mut kv);
-                pool.commit(&admission.plan);
-                black_box(pool.complete(&admission.plan));
-                *parked.borrow_mut() = Some((pool, kv));
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
+    let full_step = per_iteration_batched(
+        || {
+            parked.borrow_mut().take();
+            (pool.clone(), kv.clone())
+        },
+        |(mut pool, mut kv)| {
+            let view = pool.view(kv.free_rate(), kv.free_blocks().to_tokens(kv.block_size()), kv.block_size(), 4);
+            let admission = admit(throttle.plan(&view), &mut pool, &mut kv);
+            pool.commit(&admission.plan);
+            black_box(pool.complete(&admission.plan));
+            *parked.borrow_mut() = Some((pool, kv));
+        },
+    );
+    report("scheduler_overhead/token_throttle_full_step_2000_waiting", full_step);
 }
 
-fn bench_kvcache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kvcache");
-    g.bench_function("append_extend_free_cycle", |b| {
-        b.iter_batched(
-            || KvCacheManager::new(Blocks(4096), Tokens(16)),
-            |mut kv| {
-                for id in 0..32u64 {
-                    kv.append(id, Tokens(200)).expect("fits");
-                }
-                for id in 0..32u64 {
-                    for _ in 0..16 {
-                        kv.append(id, Tokens(1)).expect("fits");
-                    }
-                }
-                for id in 0..32u64 {
-                    kv.free(id).expect("live");
-                }
-                black_box(kv.free_rate())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-fn bench_transformer(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transformer");
-    g.bench_function("tiny_decode_step", |b| {
-        let mut lm = CausalLM::new(ModelConfig::tiny(), 1, 256, 16, 7);
-        lm.prefill(1, &[1, 2, 3, 4, 5, 6, 7, 8], 1024).expect("prefill");
-        let mut tok = 9u32;
-        b.iter(|| {
-            // Criterion runs thousands of iterations; recycle the sequence
-            // before the KV cache fills so the step cost stays stationary.
-            if lm.kv().free_rate() < 0.1 {
-                lm.release(1).expect("live");
-                lm.prefill(1, &[1, 2, 3, 4, 5, 6, 7, 8], 1024).expect("prefill");
-                tok = 9;
+fn bench_kvcache() {
+    let cycle = per_iteration_batched(
+        || KvCacheManager::new(Blocks(4096), Tokens(16)),
+        |mut kv| {
+            for id in 0..32u64 {
+                kv.append(id, Tokens(200)).expect("fits");
             }
-            let logits = lm.decode_step(1, tok).expect("capacity");
-            tok = gllm_transformer::sampler::argmax(&logits);
-            black_box(tok)
-        })
-    });
-    g.bench_function("tiny_prefill_64_tokens", |b| {
-        let prompt: Vec<u32> = (0..64).map(|i| (i % 256) as u32).collect();
-        let mut id = 0u64;
-        let mut lm = CausalLM::new(ModelConfig::tiny(), 1, 8192, 16, 7);
-        b.iter(|| {
-            id += 1;
-            let l = lm.prefill(id, &prompt, 1024).expect("capacity");
-            lm.release(id).expect("live");
-            black_box(l[0])
-        })
-    });
-    let _ = SamplingParams::greedy();
-    g.finish();
+            for id in 0..32u64 {
+                for _ in 0..16 {
+                    kv.append(id, Tokens(1)).expect("fits");
+                }
+            }
+            for id in 0..32u64 {
+                kv.free(id).expect("live");
+            }
+            black_box(kv.free_rate())
+        },
+    );
+    report("kvcache/append_extend_free_cycle", cycle);
 }
 
-fn bench_simulator(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulator");
-    g.sample_size(10);
+fn bench_transformer() {
+    let mut lm = CausalLM::new(ModelConfig::tiny(), 1, 256, 16, 7);
+    lm.prefill(1, &[1, 2, 3, 4, 5, 6, 7, 8], 1024).expect("prefill");
+    let mut tok = 9u32;
+    let decode = per_iteration(|| {
+        // Windows run thousands of iterations; recycle the sequence before
+        // the KV cache fills so the step cost stays stationary.
+        if lm.kv().free_rate() < 0.1 {
+            lm.release(1).expect("live");
+            lm.prefill(1, &[1, 2, 3, 4, 5, 6, 7, 8], 1024).expect("prefill");
+            tok = 9;
+        }
+        let logits = lm.decode_step(1, tok).expect("capacity");
+        tok = gllm_transformer::sampler::argmax(&logits);
+        black_box(tok)
+    });
+    report("transformer/tiny_decode_step", decode);
+
+    let prompt: Vec<u32> = (0..64).map(|i| (i % 256) as u32).collect();
+    let mut id = 0u64;
+    let mut lm = CausalLM::new(ModelConfig::tiny(), 1, 8192, 16, 7);
+    let prefill = per_iteration(|| {
+        id += 1;
+        let l = lm.prefill(id, &prompt, 1024).expect("capacity");
+        lm.release(id).expect("live");
+        black_box(l[0])
+    });
+    report("transformer/tiny_prefill_64_tokens", prefill);
+}
+
+fn bench_simulator() {
     let deployment = Deployment::new(ModelConfig::qwen2_5_32b(), ClusterSpec::intra_node_l20(4));
     let trace = Trace::paper_online(Dataset::ShareGpt, 2.0, 3);
     let cfg = EngineConfig {
@@ -165,10 +155,8 @@ fn bench_simulator(c: &mut Criterion) {
         record_utilization: false,
         ..EngineConfig::default()
     };
-    g.bench_function("serving_experiment_2rps_128s", |b| {
-        b.iter(|| black_box(run_experiment(&trace, &SystemConfig::gllm(), &deployment, &cfg)))
-    });
-    g.finish();
+    let run = per_iteration(|| black_box(run_experiment(&trace, &SystemConfig::gllm(), &deployment, &cfg)));
+    report("simulator/serving_experiment_2rps_128s", run);
 }
 
 /// A closed loop of 16 requests (64-token prompt, 8 output tokens, one
@@ -257,34 +245,35 @@ impl AuditLoop {
     }
 }
 
-fn bench_auditor(c: &mut Criterion) {
+fn bench_auditor() {
     // Each iteration audits 100 more requests on a copy of a loop that
     // has already completed `history`; divide by 100 for per request. The
     // used copy is parked and dropped in the next (untimed) setup, so
     // freeing the history stays out of the measurement.
-    let mut g = c.benchmark_group("auditor_closed_loop_history");
     for (name, history) in [("100_requests_after_1k", 1_000), ("100_requests_after_8k", 8_000)] {
         let mut warm = AuditLoop::new();
         warm.run(history);
         assert!(warm.audit.is_clean(), "{:?}", warm.audit.violations());
         let parked = RefCell::new(None);
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    parked.borrow_mut().take();
-                    warm.clone()
-                },
-                |mut lp| {
-                    lp.run(100);
-                    black_box(lp.audit.is_clean());
-                    *parked.borrow_mut() = Some(lp);
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        let audited = per_iteration_batched(
+            || {
+                parked.borrow_mut().take();
+                warm.clone()
+            },
+            |mut lp| {
+                lp.run(100);
+                black_box(lp.audit.is_clean());
+                *parked.borrow_mut() = Some(lp);
+            },
+        );
+        report(&format!("auditor_closed_loop_history/{name}"), audited);
     }
-    g.finish();
 }
 
-criterion_group!(benches, bench_scheduler, bench_kvcache, bench_transformer, bench_simulator, bench_auditor);
-criterion_main!(benches);
+fn main() {
+    bench_scheduler();
+    bench_kvcache();
+    bench_transformer();
+    bench_simulator();
+    bench_auditor();
+}

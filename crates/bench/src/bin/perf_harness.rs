@@ -8,13 +8,15 @@
 //!    (default: all cores), asserting the serialized results are
 //!    **byte-identical** to the serial run — any divergence exits nonzero.
 //!
-//! It writes `BENCH_sweep.json` at the repo root recording wall-clock
-//! seconds, speedups and simulation rates per figure plus totals.
-//! `--quick` trims each family to a smoke-test subset for CI.
+//! Both runs repeat [`REPEATS`] times, each repeat checked for identity.
+//! It writes `BENCH_sweep.json` at the repo root recording the median and
+//! quartiles of wall-clock seconds, plus speedups and simulation rates at
+//! the medians, per figure and in total. `--quick` trims each family to a
+//! smoke-test subset for CI.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use gllm_bench::timing::{time, Spread};
 use gllm_bench::{has_flag, jobs, sweep_rates_with_cfg};
 use gllm_metrics::SloSpec;
 use gllm_model::{ClusterSpec, ModelConfig};
@@ -37,12 +39,15 @@ fn sweep_cfg() -> EngineConfig {
     }
 }
 
+/// Timed runs of every sweep, serial and parallel.
+const REPEATS: usize = 5;
+
 #[derive(Serialize)]
 struct FigureTiming {
     figure: String,
     sims: usize,
-    serial_s: f64,
-    parallel_s: f64,
+    serial_s: Spread,
+    parallel_s: Spread,
     parallel_speedup: f64,
     sims_per_sec: f64,
 }
@@ -52,10 +57,16 @@ struct BenchSweep {
     jobs: usize,
     cores: usize,
     quick: bool,
+    repeats: usize,
     figures: Vec<FigureTiming>,
-    total_serial_s: f64,
-    total_parallel_s: f64,
+    total_serial_s: Spread,
+    total_parallel_s: Spread,
     parallel_speedup: f64,
+}
+
+/// `num / den` for a positive timing `den`.
+fn ratio(num: f64, den: f64) -> f64 {
+    num / den.max(f64::MIN_POSITIVE)
 }
 
 /// One figure family: how to run its sweep under a given (cfg, jobs) and
@@ -208,12 +219,6 @@ fn families(quick: bool) -> Vec<Family> {
     fams
 }
 
-fn time<F: FnOnce() -> Vec<u8>>(f: F) -> (f64, Vec<u8>) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64(), out)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let quick = has_flag(&args, "--quick");
@@ -223,55 +228,61 @@ fn main() -> ExitCode {
     let cfg = sweep_cfg();
 
     println!(
-        "perf harness — {} mode, {} cores, parallel runs use {} jobs\n",
+        "perf harness — {} mode, {} cores, parallel runs use {} jobs, median [q1–q3] of {} repeats\n",
         if quick { "quick" } else { "full" },
         cores,
-        parallel_jobs
+        parallel_jobs,
+        REPEATS
     );
 
     let mut figures = Vec::new();
-    let (mut tot_serial, mut tot_parallel) = (0.0, 0.0);
+    let (mut tot_serial, mut tot_parallel) = (vec![0.0; REPEATS], vec![0.0; REPEATS]);
     let mut diverged = false;
     for fam in families(quick) {
-        let (serial_s, serial_bytes) = time(|| (fam.run)(&cfg, 1));
-        let (parallel_s, parallel_bytes) = time(|| (fam.run)(&cfg, parallel_jobs));
-        if serial_bytes != parallel_bytes {
-            eprintln!(
-                "DIVERGENCE: {} parallel output differs from serial ({} vs {} bytes)",
-                fam.name,
-                serial_bytes.len(),
-                parallel_bytes.len()
-            );
-            diverged = true;
+        let (mut serial, mut parallel) = (Vec::new(), Vec::new());
+        for rep in 0..REPEATS {
+            let (serial_s, serial_bytes) = time(|| (fam.run)(&cfg, 1));
+            let (parallel_s, parallel_bytes) = time(|| (fam.run)(&cfg, parallel_jobs));
+            if serial_bytes != parallel_bytes {
+                eprintln!(
+                    "DIVERGENCE: {} parallel output differs from serial on repeat {rep} ({} vs {} bytes)",
+                    fam.name,
+                    serial_bytes.len(),
+                    parallel_bytes.len()
+                );
+                diverged = true;
+            }
+            tot_serial[rep] += serial_s;
+            tot_parallel[rep] += parallel_s;
+            serial.push(serial_s);
+            parallel.push(parallel_s);
         }
-        println!(
-            "{:<20} {:>3} sims  serial {:>7.3}s  parallel {:>7.3}s",
-            fam.name, fam.sims, serial_s, parallel_s,
-        );
-        tot_serial += serial_s;
-        tot_parallel += parallel_s;
+        let (serial_s, parallel_s) = (Spread::of(&serial), Spread::of(&parallel));
+        println!("{:<20} {:>3} sims  serial {serial_s}  parallel {parallel_s}", fam.name, fam.sims);
         figures.push(FigureTiming {
             figure: fam.name.into(),
             sims: fam.sims,
             serial_s,
             parallel_s,
-            parallel_speedup: serial_s / parallel_s.max(f64::MIN_POSITIVE),
-            sims_per_sec: fam.sims as f64 / parallel_s.max(f64::MIN_POSITIVE),
+            parallel_speedup: ratio(serial_s.median, parallel_s.median),
+            sims_per_sec: ratio(fam.sims as f64, parallel_s.median),
         });
     }
 
+    let (total_serial_s, total_parallel_s) = (Spread::of(&tot_serial), Spread::of(&tot_parallel));
     let report = BenchSweep {
         jobs: parallel_jobs,
         cores,
         quick,
+        repeats: REPEATS,
         figures,
-        total_serial_s: tot_serial,
-        total_parallel_s: tot_parallel,
-        parallel_speedup: tot_serial / tot_parallel.max(f64::MIN_POSITIVE),
+        total_serial_s,
+        total_parallel_s,
+        parallel_speedup: ratio(total_serial_s.median, total_parallel_s.median),
     };
     println!(
-        "\ntotals: serial {:.2}s, parallel {:.2}s — parallel speedup {:.2}x",
-        tot_serial, tot_parallel, report.parallel_speedup,
+        "\ntotals: serial {total_serial_s}, parallel {total_parallel_s} — parallel speedup {:.2}x",
+        report.parallel_speedup,
     );
 
     // BENCH_sweep.json lives at the repo root, next to ROADMAP.md.

@@ -9,6 +9,7 @@
 pub mod cli;
 pub mod output;
 pub mod sweep;
+pub mod timing;
 
 pub use cli::{flag_value, has_flag, jobs};
 pub use output::{write_json, Table};

@@ -16,9 +16,11 @@ use std::time::Duration;
 
 use gllm_core::SchedulePolicy;
 use gllm_metrics::MetricsRecorder;
+use gllm_runtime::driver::DriverOutput;
 use gllm_runtime::server::Submitter;
 use gllm_runtime::{GenRequest, RuntimeConfig, Server, StreamEvent};
 use gllm_transformer::sampler::SamplingParams;
+use serde::Serialize;
 
 use crate::http::{finish_chunked, respond, start_sse, write_sse_event, Request};
 use crate::openai::{
@@ -52,7 +54,7 @@ pub struct ApiServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<MetricsRecorder>>,
+    dispatcher: Option<JoinHandle<DriverOutput>>,
 }
 
 impl ApiServer {
@@ -95,7 +97,7 @@ impl ApiServer {
                         break;
                     }
                 }
-                runtime.shutdown()
+                runtime.shutdown_full()
             })
         };
 
@@ -123,7 +125,8 @@ impl ApiServer {
         self.addr
     }
 
-    /// Stop accepting, drain the runtime and return its metrics.
+    /// Stop accepting, drain the runtime and return its metrics. Panics
+    /// if the runtime's invariant auditor detected any violation.
     pub fn shutdown(mut self) -> MetricsRecorder {
         self.shared.shutdown.store(true, Ordering::Release);
         // Unblock the accept loop with a dummy connection.
@@ -131,17 +134,24 @@ impl ApiServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        self.dispatcher
-            .take()
-            .expect("joined once")
-            .join()
-            .expect("dispatcher panicked")
+        let out = match self.dispatcher.take().map(JoinHandle::join) {
+            Some(Ok(out)) => out,
+            // A dead dispatcher yields an empty output, as a dead driver
+            // does for `Server::shutdown_full`.
+            Some(Err(_)) | None => DriverOutput::empty(),
+        };
+        if let Some(audit) = &out.audit {
+            audit.assert_clean("runtime");
+        }
+        out.recorder
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut stream = stream;
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+    // Without a second handle there is no way to answer: drop the
+    // connection.
+    let Ok(read_half) = stream.try_clone() else { return };
+    let mut reader = BufReader::new(read_half);
     let req = match Request::read(&mut reader) {
         Ok(Some(req)) => req,
         Ok(None) => return,
@@ -163,8 +173,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     owned_by: "gllm".into(),
                 }],
             };
-            let body = serde_json::to_vec(&list).expect("serialise models");
-            let _ = respond(&mut stream, 200, "application/json", &body);
+            let _ = respond_json(&mut stream, 200, &list);
         }
         ("POST", "/v1/completions") => handle_completion(&mut stream, &req, shared),
         ("POST", "/v1/chat/completions") => handle_chat(&mut stream, &req, shared),
@@ -177,6 +186,28 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// What a client gets in place of a response that failed to serialise.
+const SERIALISE_FAILED: &str =
+    r#"{"error":{"message":"response serialisation failed","type":"server_error"}}"#;
+
+/// Answer with `value` as a JSON body, or with a fixed 500 if it does not
+/// serialise.
+fn respond_json(stream: &mut TcpStream, status: u16, value: &impl Serialize) -> std::io::Result<()> {
+    match serde_json::to_vec(value) {
+        Ok(body) => respond(stream, status, "application/json", &body),
+        Err(_) => respond(stream, 500, "application/json", SERIALISE_FAILED.as_bytes()),
+    }
+}
+
+/// Send `value` as one SSE event, or a fixed error event if it does not
+/// serialise.
+fn write_sse_json(stream: &mut TcpStream, value: &impl Serialize) -> std::io::Result<()> {
+    match serde_json::to_string(value) {
+        Ok(data) => write_sse_event(stream, &data),
+        Err(_) => write_sse_event(stream, SERIALISE_FAILED),
+    }
+}
+
 /// Answer with an OpenAI-shaped JSON error.
 fn respond_error(
     stream: &mut TcpStream,
@@ -184,8 +215,7 @@ fn respond_error(
     kind: &str,
     message: impl Into<String>,
 ) -> std::io::Result<()> {
-    let body = serde_json::to_vec(&ErrorResponse::new(kind, message)).expect("serialise error");
-    respond(stream, status, "application/json", &body)
+    respond_json(stream, status, &ErrorResponse::new(kind, message))
 }
 
 /// Submit a request whose events go to a fresh route; returns its id and
@@ -270,8 +300,7 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
                     total_tokens: prompt_len + tokens.len(),
                 },
             };
-            let body = serde_json::to_vec(&resp).expect("serialise chat completion");
-            let _ = respond(stream, 200, "application/json", &body);
+            let _ = respond_json(stream, 200, &resp);
         }
         Err(msg) => {
             let _ = respond_error(stream, 500, "server_error", msg);
@@ -357,8 +386,7 @@ fn blocking_completion(
             total_tokens: prompt_len + tokens.len(),
         }),
     };
-    let body = serde_json::to_vec(&resp).expect("serialise completion");
-    respond(stream, 200, "application/json", &body)
+    respond_json(stream, 200, &resp)
 }
 
 fn stream_completion(
@@ -389,14 +417,13 @@ fn stream_completion(
                         total_tokens: prompt_len + produced,
                     }),
                 };
-                write_sse_event(stream, &serde_json::to_string(&resp).expect("serialise"))?;
+                write_sse_json(stream, &resp)?;
                 if finished {
                     break;
                 }
             }
             Ok(StreamEvent::Rejected { .. }) | Ok(StreamEvent::Failed { .. }) | Err(_) => {
-                let err = ErrorResponse::new("server_error", "generation aborted");
-                write_sse_event(stream, &serde_json::to_string(&err).expect("serialise"))?;
+                write_sse_json(stream, &ErrorResponse::new("server_error", "generation aborted"))?;
                 break;
             }
         }
@@ -409,6 +436,8 @@ fn stream_completion(
 mod tests {
     use super::*;
     use gllm_core::throttle::TokenThrottle;
+    use gllm_core::{BatchPlan, ScheduleView};
+    use gllm_kvcache::Tokens;
     use gllm_model::ModelConfig;
     use gllm_transformer::CausalLM;
     use std::io::{Read, Write};
@@ -582,6 +611,32 @@ mod tests {
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         assert_eq!(resp.matches("data: ").count(), 5, "4 tokens + [DONE]: {resp}");
         assert!(resp.contains("[DONE]"));
+        server.shutdown();
+    }
+
+    /// Plans as TokenThrottle does but declares an empty budget, so the
+    /// auditor flags every batch it schedules.
+    struct OverBudget(TokenThrottle);
+
+    impl SchedulePolicy for OverBudget {
+        fn plan(&self, view: &ScheduleView) -> BatchPlan {
+            self.0.plan(view)
+        }
+        fn name(&self) -> &'static str {
+            "over-budget"
+        }
+        fn budget_caps(&self, _view: &ScheduleView) -> Option<(Tokens, usize)> {
+            Some((Tokens(0), 0))
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant violation")]
+    fn shutdown_panics_on_a_violated_audit() {
+        let policy = Arc::new(OverBudget(TokenThrottle::default()));
+        let server = ApiServer::start(RuntimeConfig::tiny(2), policy, "127.0.0.1:0").expect("bind");
+        let resp = post(server.addr(), "/v1/completions", r#"{"prompt":"abc","max_tokens":2}"#);
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         server.shutdown();
     }
 

@@ -11,7 +11,7 @@
 //!   simulator and print the paper's metric set.
 //!
 //! Argument parsing is by hand (no CLI framework): `--key value` pairs
-//! after the subcommand.
+//! after the subcommand, each from the flags that subcommand names.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -47,13 +47,25 @@ USAGE:
                      [--input-len L] [--max-tokens M] [--seed S]
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+const SERVE_FLAGS: &[&str] = &["port", "stages", "policy", "cpp", "kv-blocks", "seed", "fault-plan"];
+const SIMULATE_FLAGS: &[&str] = &[
+    "model", "cluster", "gpus", "system", "dataset", "rate", "jobs", "seed", "trace-file", "trace-out",
+    "no-audit",
+];
+const BENCH_SERVING_FLAGS: &[&str] =
+    &["host", "port", "rate", "num-prompts", "input-len", "max-tokens", "seed"];
+
+/// Parse `--key value` pairs, refusing any flag not in `accepted`.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
+        if !accepted.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         // Boolean flags take no value.
         if key == "cpp" || key == "no-audit" {
             flags.insert(key.to_string(), "true".to_string());
@@ -156,13 +168,12 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     let seed: u64 = get(&flags, "seed", 0)?;
 
     let deployment = Deployment::new(model.clone(), cluster);
-    if rates.len() > 1 {
+    let &[rate] = rates.as_slice() else {
         if flags.contains_key("trace-file") {
             return Err("--trace-file cannot be combined with a --rate list".into());
         }
         return simulate_rate_sweep(&rates, jobs, seed, dataset, &system, &deployment, &flags);
-    }
-    let rate = rates[0];
+    };
     // A real trace file (Azure CSV shape) overrides the synthetic dataset.
     let trace = match flags.get("trace-file") {
         Some(path) => {
@@ -276,7 +287,7 @@ fn bench_one(host: &str, port: u16, prompt: &str, max_tokens: usize) -> Result<S
     let mut stream = TcpStream::connect((host, port)).map_err(|e| e.to_string())?;
     let body = format!(
         "{{\"prompt\":{},\"max_tokens\":{max_tokens},\"stream\":true}}",
-        serde_json::to_string(prompt).expect("string")
+        serde_json::to_string(prompt).map_err(|e| e.to_string())?
     );
     write!(
         stream,
@@ -351,9 +362,10 @@ fn cmd_bench_serving(flags: HashMap<String, String>) -> Result<(), String> {
         .collect();
     let mut samples = Vec::new();
     for h in handles {
-        match h.join().expect("client thread") {
-            Ok(s) => samples.push(s),
-            Err(e) => eprintln!("request failed: {e}"),
+        match h.join() {
+            Ok(Ok(s)) => samples.push(s),
+            Ok(Err(e)) => eprintln!("request failed: {e}"),
+            Err(_) => eprintln!("request failed: its client thread panicked"),
         }
     }
     if samples.is_empty() {
@@ -377,28 +389,50 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+    type Command = fn(HashMap<String, String>) -> Result<(), String>;
+    let (run, accepted): (Command, &[&str]) = match cmd.as_str() {
+        "serve" => (cmd_serve, SERVE_FLAGS),
+        "simulate" => (cmd_simulate, SIMULATE_FLAGS),
+        "bench-serving" => (cmd_bench_serving, BENCH_SERVING_FLAGS),
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command {other:?}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "serve" => cmd_serve(flags),
-        "simulate" => cmd_simulate(flags),
-        "bench-serving" => cmd_bench_serving(flags),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
+    let result = parse_flags(rest, accepted).and_then(run);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
+        parse_flags(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>(), accepted)
+    }
+
+    #[test]
+    fn each_subcommand_refuses_flags_it_does_not_name() {
+        let err = parse(&["--bogus", "1"], SIMULATE_FLAGS).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        // A flag of another subcommand is a typo here too.
+        assert!(parse(&["--port", "8000"], SIMULATE_FLAGS).is_err());
+        assert!(parse(&["--no-audit"], SERVE_FLAGS).is_err());
+        assert!(parse(&["--rate", "1", "--kv-blocks", "8"], BENCH_SERVING_FLAGS).is_err());
+        let flags = parse(&["--rate", "1,2", "--no-audit", "--seed", "3"], SIMULATE_FLAGS).unwrap();
+        assert_eq!(flags["rate"], "1,2");
+        assert_eq!(flags["no-audit"], "true");
+        assert_eq!(flags["seed"], "3");
+        assert!(parse(&["--cpp", "--port", "0"], SERVE_FLAGS).is_ok());
     }
 }

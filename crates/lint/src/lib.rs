@@ -6,7 +6,7 @@
 //! Pipeline: [`lexer`] (tokens + comments, strings blanked) → [`syntax`]
 //! (per-line stripped view, `lint:allow` collection, per-function token
 //! slices) → [`dataflow`] (guard liveness, lock acquisition order, unit
-//! taint) → check families → suppression → [`sarif`]/[`ratchet`] reporting.
+//! taint) → check families → suppression → one line per finding.
 //!
 //! Nine check families (see `DESIGN.md` §7 and §9 for the rationale):
 //!
@@ -15,7 +15,8 @@
 //!   `gllm-units`, not raw integers.
 //! * **panic-freedom** — no `unwrap()`/`expect()`/`panic!`-family macros or
 //!   literal-index slicing in non-test code on the `crates/runtime`,
-//!   `crates/core` and `crates/lint` hot paths.
+//!   `crates/core`, `crates/kvcache` and `crates/lint` hot paths, the
+//!   shared scheduling step and the `crates/frontend` HTTP edge.
 //! * **sim-determinism** — no wall clocks, OS entropy, or hash-ordered
 //!   containers in `crates/sim`, `crates/core`, `crates/metrics`.
 //! * **lock-discipline** — no `MutexGuard` live across channel `send(`/
@@ -58,8 +59,6 @@ use std::path::{Path, PathBuf};
 
 pub mod dataflow;
 pub mod lexer;
-pub mod ratchet;
-pub mod sarif;
 pub mod syntax;
 
 use syntax::SourceLine;
@@ -128,7 +127,7 @@ impl Check {
                 "Tokens/Blocks/Bytes newtypes must cross scheduler/KV public interfaces, not raw ints"
             }
             Check::PanicFreedom => {
-                "no unwrap()/expect()/panic! family/literal-index slicing in runtime+core+kvcache+lint non-test code"
+                "no unwrap()/expect()/panic! family/literal-index slicing in runtime+core+kvcache+lint+frontend non-test code and the scheduling step"
             }
             Check::SimDeterminism => {
                 "no Instant::now/SystemTime/thread_rng/HashMap/HashSet/thread::spawn in sim, core and metrics (threads only via gllm_sim::sweep)"
@@ -617,6 +616,7 @@ fn checks_for(rel: &Path) -> Vec<Check> {
         || p.contains("crates/core/src/")
         || p.contains("crates/kvcache/src/")
         || p.contains("crates/lint/src/")
+        || p.contains("crates/frontend/src/")
         || p.ends_with("crates/metrics/src/step.rs")
     {
         checks.push(Check::PanicFreedom);
@@ -899,6 +899,16 @@ mod tests {
         // the whole runtime down, wherever the step's crate lives.
         let step = checks_for(Path::new("crates/metrics/src/step.rs"));
         assert!(step.contains(&Check::PanicFreedom), "step.rs must be panic-free");
+    }
+
+    #[test]
+    fn http_edge_is_in_panic_freedom_scope() {
+        // Untrusted bytes arrive here: a panic in a handler would let a
+        // client abort the thread that owns its connection.
+        for file in ["api_server.rs", "http.rs", "openai.rs", "bin/gllm.rs"] {
+            let checks = checks_for(&Path::new("crates/frontend/src").join(file));
+            assert!(checks.contains(&Check::PanicFreedom), "{file} must be panic-free");
+        }
     }
 
     #[test]

@@ -1,44 +1,22 @@
 //! `gllm-lint` CLI: run the workspace static-analysis pass.
 //!
 //! ```text
-//! gllm-lint [--root PATH] [--deny [FAMILIES]] [--format text|sarif]
-//!           [--output PATH] [--baseline PATH] [--write-baseline PATH]
-//!           [--paths PREFIX]... [--list-checks]
+//! gllm-lint [--root PATH] [--deny [FAMILIES]] [--list-checks]
 //! ```
 //!
-//! * `--root PATH`           workspace root (default: current directory)
-//! * `--deny [FAMILIES]`     exit nonzero on findings; FAMILIES is `all`
+//! * `--root PATH`       workspace root (default: current directory)
+//! * `--deny [FAMILIES]` exit nonzero on findings; FAMILIES is `all`
 //!   (also the default when omitted) or a comma-separated check list
-//! * `--format text|sarif`   report format (default text)
-//! * `--output PATH`         write the report to PATH (stdout still gets
-//!   the text summary)
-//! * `--baseline PATH`       verify the ratchet: per-family counts must
-//!   not exceed the baseline
-//! * `--write-baseline PATH` write current per-family counts as the new
-//!   baseline
-//! * `--paths PREFIX`        only report findings under PREFIX (repeatable)
-//! * `--list-checks`         print the check families and exit
+//! * `--list-checks`     print the check families and exit
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gllm_lint::ratchet::{self, Drift};
-use gllm_lint::{lint_workspace, sarif, Check, Violation};
+use gllm_lint::{lint_workspace, Check};
 
 struct Args {
     root: PathBuf,
     deny: Option<Vec<Check>>,
-    format: Format,
-    output: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    paths: Vec<String>,
-}
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Format {
-    Text,
-    Sarif,
 }
 
 fn parse_deny_list(spec: &str) -> Result<Vec<Check>, String> {
@@ -56,15 +34,7 @@ fn parse_deny_list(spec: &str) -> Result<Vec<Check>, String> {
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
-    let mut args = Args {
-        root: PathBuf::from("."),
-        deny: None,
-        format: Format::Text,
-        output: None,
-        baseline: None,
-        write_baseline: None,
-        paths: Vec::new(),
-    };
+    let mut args = Args { root: PathBuf::from("."), deny: None };
     let mut argv = std::env::args().skip(1).peekable();
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -85,57 +55,18 @@ fn parse_args() -> Result<Option<Args>, String> {
                 };
                 args.deny = Some(list);
             }
-            "--format" => match argv.next().as_deref() {
-                Some("text") => args.format = Format::Text,
-                Some("sarif") => args.format = Format::Sarif,
-                Some(other) => return Err(format!("unknown format `{other}`")),
-                None => return Err("--format requires text|sarif".to_string()),
-            },
             "--root" => match argv.next() {
                 Some(p) => args.root = PathBuf::from(p),
                 None => return Err("--root requires a path".to_string()),
             },
-            "--output" => match argv.next() {
-                Some(p) => args.output = Some(PathBuf::from(p)),
-                None => return Err("--output requires a path".to_string()),
-            },
-            "--baseline" => match argv.next() {
-                Some(p) => args.baseline = Some(PathBuf::from(p)),
-                None => return Err("--baseline requires a path".to_string()),
-            },
-            "--write-baseline" => match argv.next() {
-                Some(p) => args.write_baseline = Some(PathBuf::from(p)),
-                None => return Err("--write-baseline requires a path".to_string()),
-            },
-            "--paths" => match argv.next() {
-                Some(p) => args.paths.push(p.replace('\\', "/")),
-                None => return Err("--paths requires a path prefix".to_string()),
-            },
             "--help" | "-h" => {
-                println!(
-                    "gllm-lint [--root PATH] [--deny [all|c1,c2]] [--format text|sarif] \
-                     [--output PATH] [--baseline PATH] [--write-baseline PATH] \
-                     [--paths PREFIX]... [--list-checks]"
-                );
+                println!("gllm-lint [--root PATH] [--deny [all|c1,c2]] [--list-checks]");
                 return Ok(None);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
     Ok(Some(args))
-}
-
-fn render(format: Format, violations: &[Violation]) -> String {
-    match format {
-        Format::Sarif => sarif::to_sarif(violations),
-        Format::Text => {
-            let mut s = String::new();
-            for v in violations {
-                s.push_str(&format!("{v}\n"));
-            }
-            s
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -148,90 +79,20 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut violations = lint_workspace(&args.root);
-    if !args.paths.is_empty() {
-        violations.retain(|v| {
-            let p = v.path.to_string_lossy().replace('\\', "/");
-            args.paths.iter().any(|prefix| p.starts_with(prefix.as_str()))
-        });
-    }
-
-    // Report: stdout always carries the text view; --output carries the
-    // selected format (SARIF for CI artifact upload).
+    let violations = lint_workspace(&args.root);
     for v in &violations {
         println!("{v}");
     }
-    if let Some(out_path) = &args.output {
-        let doc = render(args.format, &violations);
-        if let Err(e) = std::fs::write(out_path, doc) {
-            eprintln!("gllm-lint: cannot write {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("gllm-lint: report written to {}", out_path.display());
-    } else if args.format == Format::Sarif {
-        print!("{}", render(Format::Sarif, &violations));
-    }
-
-    let counts = ratchet::family_counts(&violations);
-
-    // Ratchet verification.
-    let mut ratchet_failed = false;
-    if let Some(baseline_path) = &args.baseline {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("gllm-lint: cannot read baseline {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(baseline) = ratchet::parse_baseline(&text) else {
-            eprintln!(
-                "gllm-lint: baseline {} is corrupt (no counts parsed)",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        };
-        for d in ratchet::drift(&counts, &baseline) {
-            match d {
-                Drift::Regressed { family, current, baseline } => {
-                    eprintln!(
-                        "gllm-lint: ratchet REGRESSION: {family} has {current} finding(s), \
-                         baseline allows {baseline}"
-                    );
-                    ratchet_failed = true;
-                }
-                Drift::Improvable { family, current, baseline } => {
-                    println!(
-                        "gllm-lint: ratchet can tighten: {family} is down to {current} \
-                         (baseline {baseline}); re-run with --write-baseline"
-                    );
-                }
-            }
-        }
-        if !ratchet_failed {
-            println!("gllm-lint: ratchet ok ({})", baseline_path.display());
-        }
-    }
-
-    if let Some(path) = &args.write_baseline {
-        let doc = ratchet::baseline_json(&counts);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("gllm-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("gllm-lint: baseline written to {}", path.display());
-    }
-
-    let denied = match &args.deny {
-        Some(list) => violations.iter().filter(|v| list.contains(&v.check)).count(),
-        None => 0,
-    };
     if violations.is_empty() {
         println!("gllm-lint: clean ({} checks)", Check::ALL.len());
     } else {
         println!("gllm-lint: {} violation(s)", violations.len());
     }
-    if ratchet_failed || denied > 0 {
+    let denied = match &args.deny {
+        Some(list) => violations.iter().filter(|v| list.contains(&v.check)).count(),
+        None => 0,
+    };
+    if denied > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -190,15 +190,6 @@ fn stale_suppression_fixtures() {
     assert!(v.iter().all(|f| f.message.contains("stale suppression")));
 }
 
-#[test]
-fn sarif_output_for_a_fixture_names_rules_and_locations() {
-    let bad = lint_fixture("lock_order_bad.rs", &[Check::LockOrder]);
-    let doc = gllm_lint::sarif::to_sarif(&bad);
-    assert!(doc.contains("\"version\": \"2.1.0\""));
-    assert!(doc.contains("\"ruleId\": \"lock-order\""));
-    assert!(doc.contains("lock_order_bad.rs"));
-}
-
 /// Regression for the runtime guard-scope fixes (narrowed audit critical
 /// sections in the driver, poison-recovering `audit_snapshot` in the
 /// server): the real runtime sources must stay clean under the v2 lock
