@@ -30,3 +30,18 @@ cargo test -q --release -p gllm-runtime --test chaos
 # sweep's output ever diverges from the serial run on any repeat (the
 # harness's bit-identity guarantee).
 cargo run --release -p gllm-bench --bin perf_harness -- --quick
+
+# Stage 3: byte-identity of the simulation plane. Every sim-plane figure
+# binary rewrites its bench-results/*.json, and the stage fails if any of
+# them differs from the committed file, so a change meant to keep outputs
+# identical is checked, not trusted. tab01_functionality.json is left out:
+# its LOC inventory moves with the code (its 24 probes are checked by the
+# test suite).
+for bin in crates/bench/src/bin/*.rs; do
+  name=$(basename "$bin" .rs)
+  case "$name" in
+    tab01_functionality | perf_harness) continue ;;
+  esac
+  cargo run --release -q -p gllm-bench --bin "$name" > /dev/null
+done
+git diff --exit-code --stat -- bench-results ':(exclude)bench-results/tab01_functionality.json'

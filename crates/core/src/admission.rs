@@ -7,10 +7,10 @@
 //! Both execution planes (the discrete-event simulator and the threaded
 //! runtime) call this same function, so admission behaviour is identical.
 
-use gllm_kvcache::KvCacheManager;
+use gllm_kvcache::{KvCacheManager, KvError};
 use gllm_units::Tokens;
 
-use crate::plan::{BatchPlan, PrefillChunk};
+use crate::plan::{BatchPlan, PrefillChunk, SeqSlot};
 use crate::pool::RequestPool;
 
 /// Result of admitting a plan.
@@ -18,9 +18,9 @@ use crate::pool::RequestPool;
 pub struct Admission {
     /// The physically admissible plan (KV already allocated for it).
     pub plan: BatchPlan,
-    /// Sequences evicted to make room (recorded for metrics; their pool
-    /// state is already reset to Waiting).
-    pub preempted: Vec<u64>,
+    /// Sequences evicted to make room, with their slots (recorded for
+    /// metrics; their pool state is already reset to Waiting).
+    pub preempted: Vec<(u64, SeqSlot)>,
 }
 
 /// Allocate KV for `proposed`, preempting and trimming as needed.
@@ -38,22 +38,28 @@ pub fn admit(proposed: BatchPlan, pool: &mut RequestPool, kv: &mut KvCacheManage
     let mut pending: std::collections::VecDeque<_> = proposed.decode.into();
     while let Some(slot) = pending.pop_front() {
         loop {
-            // Append directly and treat the (rare) out-of-blocks error as
-            // the preemption trigger: one map probe per slot. `append` is
-            // atomic, so a failure allocates nothing.
-            if kv.append(slot.seq, Tokens(1)).is_ok() {
-                protected.push(slot.seq);
-                decode.push(slot);
-                break;
+            // Append directly, indexing the page tables by the plan's slot,
+            // and treat the (rare) out-of-blocks error as the preemption
+            // trigger. `append` is atomic, so a failure allocates nothing.
+            match kv.append(slot.slot, slot.seq, Tokens(1)) {
+                Ok(()) => {
+                    protected.push(slot.seq);
+                    decode.push(slot);
+                    break;
+                }
+                // The slot's table belongs to another sequence: no eviction
+                // can help, so the slot drops.
+                Err(KvError::UnknownSequence(_)) => break,
+                Err(KvError::OutOfBlocks { .. }) => {}
             }
             protected.push(slot.seq); // never self-evict for one's own slot
             let victim = pool.preempt_latest_excluding(&protected);
             protected.pop();
             match victim {
-                Some((victim, _)) => {
+                Some((victim, victim_slot, _)) => {
                     // lint:allow(panic-freedom): preempt_latest_excluding only returns decoding victims that hold KV
-                    kv.evict(victim).expect("victim held KV");
-                    preempted.push(victim);
+                    kv.evict(victim_slot, victim).expect("victim held KV");
+                    preempted.push((victim, victim_slot));
                     // The victim is Waiting now; any of its still-pending
                     // slots would be stale.
                     pending.retain(|s| s.seq != victim);
@@ -65,11 +71,12 @@ pub fn admit(proposed: BatchPlan, pool: &mut RequestPool, kv: &mut KvCacheManage
 
     let mut prefill = Vec::with_capacity(proposed.prefill.len());
     for chunk in proposed.prefill {
-        let take = chunk.tokens.min(kv.max_appendable(chunk.seq));
-        if take.is_zero() {
+        // `take` fits the free space, so only a foreign table in the slot
+        // can refuse the append; the chunk then drops.
+        let take = chunk.tokens.min(kv.max_appendable(chunk.slot, chunk.seq));
+        if take.is_zero() || kv.append(chunk.slot, chunk.seq, take).is_err() {
             continue;
         }
-        kv.append(chunk.seq, take).expect("sized to fit"); // lint:allow(panic-freedom): take is clamped to max_appendable above
         prefill.push(PrefillChunk {
             tokens: take,
             completes_prompt: chunk.completes_prompt && take == chunk.tokens,
@@ -106,6 +113,15 @@ mod tests {
         pool
     }
 
+    fn victims(adm: &Admission) -> Vec<u64> {
+        adm.preempted.iter().map(|&(seq, _)| seq).collect()
+    }
+
+    /// Whether `seq` holds KV in the slot `pool` gave it.
+    fn holds_kv(kv: &KvCacheManager, pool: &RequestPool, seq: u64) -> bool {
+        pool.slot(seq).is_some_and(|slot| kv.contains(slot, seq))
+    }
+
     fn decode(pool: &RequestPool, seq: u64) -> DecodeSlot {
         DecodeSlot { seq, slot: pool.slot(seq).expect("live"), context_before: Tokens(16) }
     }
@@ -138,8 +154,8 @@ mod tests {
         };
         let adm = admit(plan, &mut pool, &mut kv);
         assert_eq!(adm.plan.decode.len(), 1);
-        assert_eq!(adm.preempted, vec![3]);
-        assert!(!kv.contains(3));
+        assert_eq!(victims(&adm), vec![3]);
+        assert!(!holds_kv(&kv, &pool, 3));
     }
 
     #[test]
@@ -157,10 +173,10 @@ mod tests {
             ],
         };
         let adm = admit(plan, &mut pool, &mut kv);
-        assert_eq!(adm.preempted, vec![2]);
+        assert_eq!(victims(&adm), vec![2]);
         assert_eq!(adm.plan.decode.len(), 1);
         assert_eq!(adm.plan.decode[0].seq, 1);
-        assert!(!kv.contains(2), "victim's KV was released");
+        assert!(!holds_kv(&kv, &pool, 2), "victim's KV was released");
     }
 
     #[test]
@@ -180,10 +196,25 @@ mod tests {
             ],
         };
         let adm = admit(plan, &mut pool, &mut kv);
-        assert_eq!(adm.preempted, vec![3]);
+        assert_eq!(victims(&adm), vec![3]);
         assert_eq!(adm.plan.decode.len(), 1);
         assert_eq!(adm.plan.decode[0].seq, 1);
-        assert!(kv.contains(1) && kv.contains(2));
+        assert!(holds_kv(&kv, &pool, 1) && holds_kv(&kv, &pool, 2));
+    }
+
+    #[test]
+    fn a_slot_holding_another_sequences_table_drops_without_preempting() {
+        // Seq 2's decode names seq 1's slot: the KV manager refuses it, and
+        // no eviction could help, so nothing is evicted and only seq 1's
+        // own slot is placed.
+        let mut kv = KvCacheManager::new(gllm_kvcache::Blocks(3), Tokens(16));
+        let mut pool = decoding_pool(&[1, 2], 16, &mut kv);
+        let stray = DecodeSlot { slot: pool.slot(1).expect("live"), ..decode(&pool, 2) };
+        let plan = BatchPlan { prefill: vec![], decode: vec![stray, decode(&pool, 1)] };
+        let adm = admit(plan, &mut pool, &mut kv);
+        assert!(adm.preempted.is_empty());
+        assert_eq!(adm.plan.decode.iter().map(|d| d.seq).collect::<Vec<_>>(), vec![1]);
+        assert!(holds_kv(&kv, &pool, 2), "the stray slot cost seq 2 nothing");
     }
 
     #[test]

@@ -3,14 +3,9 @@
 use gllm_units::Tokens;
 use serde::{Deserialize, Serialize};
 
-/// A handle to a live sequence in its [`crate::RequestPool`]: the index of
-/// the pool's slot that holds it. Views hand it out and plans carry it
-/// beside the id, so the pool applies a plan without an id lookup. A slot
-/// is reused once its sequence leaves the pool, so the pool checks the id
-/// it holds against the plan's on every use. The default handle names
-/// slot 0; it serves plans that never reach a pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SeqSlot(pub(crate) u32);
+// The pool's handle to a live sequence. It lives in `gllm-kvcache`,
+// which keys page tables by it, and plans carry it beside the id.
+pub use gllm_kvcache::SeqSlot;
 
 /// A chunk of one sequence's prefill assigned to a micro-batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

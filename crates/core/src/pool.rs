@@ -21,7 +21,10 @@
 //! slots plus a free list. Views hand out each sequence's [`SeqSlot`],
 //! plans carry it, and `commit`, `complete` and `uncommit` index the slab
 //! directly; the id→slot map is consulted only at the API boundary
-//! (`add`, `add_decoding`, `abort`, `seq`). The live sequences form a
+//! (`add`, `add_decoding`, `abort`, `seq`, `slot`). Preemption victims and
+//! finished sequences come back with their slots too, so the KV manager
+//! and the auditor, which key their tables by the same slot, need no id
+//! lookup either. The live sequences form a
 //! doubly-linked list through their slots in arrival (FCFS) order, and a
 //! sequence leaves the pool the moment it finishes, so a view walks live
 //! sequences only, and victim searches walk the same list from its newest
@@ -56,8 +59,9 @@ pub struct EmittedToken {
 pub struct BatchOutcome {
     /// Output tokens emitted, in plan order (prefill completions first).
     pub emitted: Vec<EmittedToken>,
-    /// Sequences that finished (their KV can be freed).
-    pub finished: Vec<u64>,
+    /// Sequences that finished, with the slot each held (it names their
+    /// KV table, which can now be freed).
+    pub finished: Vec<(u64, SeqSlot)>,
 }
 
 /// The end of the arrival-order list.
@@ -153,13 +157,13 @@ impl RequestPool {
 
     /// The slot of the live sequence `id`.
     pub fn slot(&self, id: u64) -> Option<SeqSlot> {
-        self.ids.get(&id).map(|&slot| SeqSlot(slot))
+        self.ids.get(&id).map(|&slot| SeqSlot::new(slot))
     }
 
     /// Borrow the live sequence `id` through its slot, or `None` when the
     /// slot no longer holds it.
     pub fn seq_at(&self, slot: SeqSlot, id: u64) -> Option<&Sequence> {
-        self.get(slot.0).filter(|s| s.id == id)
+        self.get(slot.get()).filter(|s| s.id == id)
     }
 
     /// Number of unfinished sequences. Finished sequences leave the pool,
@@ -190,7 +194,7 @@ impl RequestPool {
         let mut cur = self.head;
         while let Some(e) = self.entry(cur) {
             let s = &e.seq;
-            let slot = SeqSlot(cur);
+            let slot = SeqSlot::new(cur);
             match s.phase {
                 Phase::Waiting if s.prefill_schedulable(self.cpp) => waiting.push(WaitingSeq {
                     seq: s.id,
@@ -284,12 +288,12 @@ impl RequestPool {
     pub fn uncommit(&mut self, plan: &BatchPlan) {
         for c in &plan.prefill {
             if self.seq_at(c.slot, c.seq).is_some() {
-                self.update(c.slot.0, |s| s.uncommit_prefill(c.tokens.get()));
+                self.update(c.slot.get(), |s| s.uncommit_prefill(c.tokens.get()));
             }
         }
         for d in &plan.decode {
             if self.seq_at(d.slot, d.seq).is_some() {
-                self.update(d.slot.0, Sequence::uncommit_decode);
+                self.update(d.slot.get(), Sequence::uncommit_decode);
             }
         }
     }
@@ -317,9 +321,10 @@ impl RequestPool {
     /// Pick and reset a preemption victim: the **latest-arrival** sequence
     /// that is decoding, not in flight, and not in `exclude` (the engine
     /// passes the sequences already placed in the micro-batch being
-    /// formed) — vLLM preempts the lowest priority first. Returns its id
-    /// and the KV tokens it held, or `None` if nothing is evictable.
-    pub fn preempt_latest_excluding(&mut self, exclude: &[u64]) -> Option<(u64, Tokens)> {
+    /// formed) — vLLM preempts the lowest priority first. Returns its id,
+    /// its slot and the KV tokens it held, or `None` if nothing is
+    /// evictable.
+    pub fn preempt_latest_excluding(&mut self, exclude: &[u64]) -> Option<(u64, SeqSlot, Tokens)> {
         self.preempt_newest(|s| {
             s.phase == Phase::Decoding && !s.is_in_flight() && !exclude.contains(&s.id)
         })
@@ -328,9 +333,9 @@ impl RequestPool {
     /// Stall breaker: when nothing is in flight and no plan can be formed
     /// (e.g. partially-prefilled sequences hold the whole KV cache), evict
     /// the **latest-arrival** waiting sequence that already committed some
-    /// context, forcing it to recompute later. Returns its id and the KV
-    /// tokens it held.
-    pub fn preempt_stalled_waiting(&mut self) -> Option<(u64, Tokens)> {
+    /// context, forcing it to recompute later. Returns its id, its slot and
+    /// the KV tokens it held.
+    pub fn preempt_stalled_waiting(&mut self) -> Option<(u64, SeqSlot, Tokens)> {
         self.preempt_newest(|s| {
             s.phase == Phase::Waiting && !s.is_in_flight() && s.context_len() > 0
         })
@@ -364,7 +369,7 @@ impl RequestPool {
             self.seq_at(slot, id).is_some(),
             "unknown sequence {id} in plan"
         );
-        slot.0
+        slot.get()
     }
 
     /// Apply `f` to the sequence in `slot` (which must be occupied),
@@ -387,20 +392,20 @@ impl RequestPool {
         let (seq, finished) = (s.id, s.is_finished());
         outcome.emitted.push(EmittedToken { seq, finished });
         if finished {
-            outcome.finished.push(seq);
+            outcome.finished.push((seq, SeqSlot::new(slot)));
             self.remove(slot);
         }
     }
 
     /// Reset the newest live sequence that satisfies `victim` for
-    /// recomputation. Returns its id and the KV tokens it held.
-    fn preempt_newest(&mut self, victim: impl Fn(&Sequence) -> bool) -> Option<(u64, Tokens)> {
+    /// recomputation. Returns its id, its slot and the KV tokens it held.
+    fn preempt_newest(&mut self, victim: impl Fn(&Sequence) -> bool) -> Option<(u64, SeqSlot, Tokens)> {
         let mut cur = self.tail;
         while let Some(e) = self.entry(cur) {
             if victim(&e.seq) {
                 let (id, held) = (e.seq.id, Tokens(e.seq.context_len()));
                 self.update(cur, Sequence::reset_for_recompute);
-                return Some((id, held));
+                return Some((id, SeqSlot::new(cur), held));
             }
             cur = e.prev;
         }
@@ -426,7 +431,7 @@ impl RequestPool {
             None => self.head = slot,
         }
         self.tail = slot;
-        SeqSlot(slot)
+        SeqSlot::new(slot)
     }
 
     /// Unlink the (not in flight) sequence in `slot` and free the slot.
@@ -525,7 +530,7 @@ mod tests {
         pool.commit(&p2);
         let o2 = pool.complete(&p2);
         assert_eq!(o2.emitted, vec![EmittedToken { seq: 1, finished: true }]);
-        assert_eq!(o2.finished, vec![1]);
+        assert_eq!(o2.finished, vec![(1, p2.decode[0].slot)]);
         assert!(!pool.has_work());
         assert!(pool.seq(1).is_none(), "a finished sequence leaves the pool");
     }
@@ -578,8 +583,9 @@ mod tests {
             pool.commit(&p);
             pool.complete(&p);
         }
-        let (victim, held) = pool.preempt_latest_excluding(&[]).unwrap();
+        let (victim, victim_slot, held) = pool.preempt_latest_excluding(&[]).unwrap();
         assert_eq!(victim, 2);
+        assert_eq!(victim_slot, slot_of(&pool, 2));
         assert_eq!(held, Tokens(10));
         let v = view(&pool, 1000);
         assert_eq!(v.decodable.len(), 1);
@@ -589,7 +595,7 @@ mod tests {
         assert_eq!(v.waiting[0].remaining_prefill, Tokens(11));
         assert_eq!(pool.seq(2).unwrap().preemptions, 1);
         // An excluded newest decoder passes the choice to the next one.
-        let (victim, _) = pool.preempt_latest_excluding(&[2]).unwrap();
+        let (victim, _, _) = pool.preempt_latest_excluding(&[2]).unwrap();
         assert_eq!(victim, 1);
     }
 
@@ -663,7 +669,7 @@ mod tests {
         // Only seq 1 exists; the rollback must not panic on seq 9, whether
         // its slot is free or held by seq 1.
         let unknown = |slot| PrefillChunk { seq: 9, slot, ..chunk(&pool, 1, 4, 0, false) };
-        let plan = BatchPlan { prefill: vec![unknown(SeqSlot(7)), unknown(slot_of(&pool, 1))], decode: vec![] };
+        let plan = BatchPlan { prefill: vec![unknown(SeqSlot::new(7)), unknown(slot_of(&pool, 1))], decode: vec![] };
         pool.uncommit(&plan);
         assert_eq!(pool.seq(1).unwrap().prefilled, 0);
     }
@@ -774,7 +780,7 @@ mod tests {
         let plan = BatchPlan { prefill: vec![chunk(&pool, 0, 8, 0, true)], decode: vec![] };
         pool.commit(&plan);
         let out = pool.complete(&plan);
-        assert_eq!(out.finished, vec![0]);
+        assert_eq!(out.finished, vec![(0, plan.prefill[0].slot)]);
         assert_eq!(pool.unfinished_count(), 4);
         pool.abort(4);
         assert_eq!(pool.unfinished_count(), 3);
@@ -822,6 +828,17 @@ mod differential {
         v.waiting.iter_mut().for_each(|w| w.slot = SeqSlot::default());
         v.decodable.iter_mut().for_each(|d| d.slot = SeqSlot::default());
         v
+    }
+
+    /// An outcome with every finished slot cleared.
+    fn unslotted_outcome(mut o: BatchOutcome) -> BatchOutcome {
+        o.finished.iter_mut().for_each(|f| f.1 = SeqSlot::default());
+        o
+    }
+
+    /// A victim with its slot dropped.
+    fn unslotted_victim(v: Option<(u64, SeqSlot, Tokens)>) -> Option<(u64, Tokens)> {
+        v.map(|(id, _, held)| (id, held))
     }
 
     fn view_of(pool: &RequestPool) -> ScheduleView {
@@ -883,8 +900,8 @@ mod differential {
                     8..=10 if !in_flight.is_empty() => {
                         let plan = in_flight.remove(0);
                         let outcome = pool.complete(&plan);
-                        prop_assert_eq!(&outcome, &reference.complete(&plan));
-                        live.retain(|id| !outcome.finished.contains(id));
+                        prop_assert_eq!(&unslotted_outcome(outcome.clone()), &reference.complete(&plan));
+                        live.retain(|id| !outcome.finished.iter().any(|&(f, _)| f == *id));
                     }
                     // The newest plan's stage died: roll it back.
                     11 => {
@@ -896,12 +913,15 @@ mod differential {
                     12 => {
                         let exclude: Vec<u64> = live.iter().copied().filter(|id| id % 3 == pick % 3).collect();
                         prop_assert_eq!(
-                            pool.preempt_latest_excluding(&exclude),
+                            unslotted_victim(pool.preempt_latest_excluding(&exclude)),
                             reference.preempt_latest_excluding(&exclude)
                         );
                     }
                     13 => {
-                        prop_assert_eq!(pool.preempt_stalled_waiting(), reference.preempt_stalled_waiting());
+                        prop_assert_eq!(
+                            unslotted_victim(pool.preempt_stalled_waiting()),
+                            reference.preempt_stalled_waiting()
+                        );
                     }
                     14 => prop_assert_eq!(pool.preempt_all_live(), reference.preempt_all_live()),
                     15 if !live.is_empty() => {

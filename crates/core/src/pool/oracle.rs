@@ -223,7 +223,7 @@ impl RequestPool {
                 let finished = seqs[&id].is_finished();
                 outcome.emitted.push(EmittedToken { seq: id, finished });
                 if finished {
-                    outcome.finished.push(id);
+                    outcome.finished.push((id, SeqSlot::default()));
                 }
             }
         };

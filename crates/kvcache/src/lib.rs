@@ -23,7 +23,7 @@ pub mod manager;
 pub mod page_table;
 
 pub use allocator::{BlockAllocator, BlockId};
-pub use manager::{KvCacheManager, KvError, KvStats, SeqId};
+pub use manager::{KvCacheManager, KvError, KvStats, SeqId, SeqSlot};
 pub use page_table::PageTable;
 
 // Re-exported so downstream crates can name the unit newtypes without a

@@ -26,14 +26,18 @@
 //! Every transition costs O(plan · log n) and none rescans the request
 //! history: a first chunk reads only the still-unstarted arrivals ahead
 //! of it, the KV cross-check compares against a running block total, and
-//! conformance looks seqs up in a sorted copy of the proposal. Both
-//! planes therefore keep the auditor on in every test, and a long
-//! closed-loop run does not slow down as requests accumulate.
+//! conformance looks seqs up in a sorted copy of the proposal. The shadow
+//! contexts are indexed by the pool's [`SeqSlot`], as the KV manager's
+//! page tables are, so applying a plan's decode slots costs no id lookup;
+//! each shadow records its owner, and a plan or completion naming a slot
+//! with another id is a KV-accounting violation. Both planes therefore
+//! keep the auditor on in every test, and a long closed-loop run does not
+//! slow down as requests accumulate.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use gllm_core::{BatchPlan, Blocks, Tokens};
+use gllm_core::{BatchPlan, Blocks, SeqSlot, Tokens};
 use serde::Serialize;
 
 // Shared with the scheduler: blocks a sequence at `context` tokens must
@@ -184,8 +188,11 @@ pub struct InvariantAuditor {
     /// Arrivals that have neither started nor left, keyed by arrival
     /// index: exactly the requests a first chunk could skip.
     unstarted: BTreeMap<usize, u64>,
-    /// Committed KV tokens per sequence currently holding cache.
-    ctx: BTreeMap<u64, Tokens>,
+    /// Committed KV tokens of each sequence holding cache, with its id, by
+    /// pool slot; `None` marks a slot holding none.
+    ctx: Vec<Option<(u64, Tokens)>>,
+    /// Occupied entries of `ctx`.
+    live_kv: usize,
     /// `ctx` summed at block granularity, updated wherever `ctx` changes.
     shadow_used: Blocks,
 
@@ -212,7 +219,8 @@ impl InvariantAuditor {
             started: BTreeSet::new(),
             gone: BTreeSet::new(),
             unstarted: BTreeMap::new(),
-            ctx: BTreeMap::new(),
+            ctx: Vec::new(),
+            live_kv: 0,
             shadow_used: Blocks::ZERO,
             violations: Vec::new(),
         }
@@ -235,10 +243,20 @@ impl InvariantAuditor {
         self.leave(seq);
     }
 
-    /// A sequence's KV was evicted (recompute preemption): it returns to
-    /// the waiting queue with an empty context.
-    pub fn on_evict(&mut self, seq: u64) {
-        self.release_kv(seq);
+    /// The KV of `seq` in `slot` was evicted (recompute preemption): it
+    /// returns to the waiting queue with an empty context. Evicting a
+    /// sequence that held no KV is a no-op; naming a slot whose shadow
+    /// belongs to another sequence is a violation.
+    pub fn on_evict(&mut self, slot: SeqSlot, seq: u64) {
+        if let Err(Some(owner)) = self.release_kv(slot, seq) {
+            let (t, slot) = (self.last_t, slot.index());
+            self.violate(
+                t,
+                None,
+                Invariant::KvAccounting,
+                format!("evicted seq {seq} names slot {slot}, which holds seq {owner}'s shadow KV"),
+            );
+        }
     }
 
     /// An injected fault fired somewhere in the pipeline (the runtime
@@ -262,13 +280,13 @@ impl InvariantAuditor {
 
     /// A live request was terminated with a structured failure event
     /// (bounded retries exhausted, or fail-open after too many
-    /// recoveries). Like an abort, it leaves the FCFS universe and its
-    /// shadow KV is forgotten.
+    /// recoveries). Like an abort, it leaves the FCFS universe. The KV it
+    /// held leaves the shadow through [`Self::on_evict`], as it leaves the
+    /// cache through an eviction.
     pub fn on_request_failed(&mut self, t_s: f64, seq: u64) {
         self.last_t = t_s;
         self.requests_failed += 1;
         self.leave(seq);
-        self.release_kv(seq);
     }
 
     /// The runtime detected an internal bookkeeping inconsistency and
@@ -312,49 +330,58 @@ impl InvariantAuditor {
 
         // (1) Apply the committed plan to the shadow allocations, then the
         // manager must agree block-for-block.
-        for c in &committed.prefill {
-            let cur = self.grow_kv(c.seq, c.tokens);
-            if cur != c.context_before {
-                self.violate(
-                    t_s,
-                    Some(batch),
-                    Invariant::KvAccounting,
-                    format!("seq {} prefill chunk claims context {} but shadow holds {}", c.seq, c.context_before, cur),
-                );
-            }
-        }
-        for d in &committed.decode {
-            let cur = self.grow_kv(d.seq, Tokens(1));
-            if cur != d.context_before {
-                self.violate(
-                    t_s,
-                    Some(batch),
-                    Invariant::KvAccounting,
-                    format!("seq {} decode slot claims context {} but shadow holds {}", d.seq, d.context_before, cur),
-                );
-            }
+        let chunks = committed.prefill.iter().map(|c| ("prefill chunk", c.slot, c.seq, c.tokens, c.context_before));
+        let slots = committed.decode.iter().map(|d| ("decode slot", d.slot, d.seq, Tokens(1), d.context_before));
+        for (what, slot, seq, tokens, claimed) in chunks.chain(slots) {
+            let detail = match self.grow_kv(slot, seq, tokens) {
+                Ok(cur) if cur == claimed => continue,
+                Ok(cur) => format!("seq {seq} {what} claims context {claimed} but shadow holds {cur}"),
+                Err(owner) => {
+                    format!("seq {seq} {what} names slot {}, which holds seq {owner}'s shadow KV", slot.index())
+                }
+            };
+            self.violate(t_s, Some(batch), Invariant::KvAccounting, detail);
         }
         self.check_kv(t_s, Some(batch), after);
     }
 
-    /// Append `tokens` to `seq`'s shadow context with one map probe and
-    /// return the context it held before.
-    fn grow_kv(&mut self, seq: u64, tokens: Tokens) -> Tokens {
-        let held = self.ctx.entry(seq).or_default();
+    /// Append `tokens` to the shadow context of `seq` in `slot` and return
+    /// the context it held before, or the owner's id (leaving the shadow
+    /// untouched) when the slot's shadow belongs to another sequence.
+    fn grow_kv(&mut self, slot: SeqSlot, seq: u64, tokens: Tokens) -> Result<Tokens, u64> {
+        let i = slot.index();
+        if i >= self.ctx.len() {
+            self.ctx.resize(i + 1, None);
+        }
+        let entry = &mut self.ctx[i];
+        let held = match entry {
+            Some((owner, held)) if *owner == seq => held,
+            Some((owner, _)) => return Err(*owner),
+            None => {
+                self.live_kv += 1;
+                &mut entry.insert((seq, Tokens::ZERO)).1
+            }
+        };
         let cur = *held;
         *held = cur + tokens;
         self.shadow_used += blocks_to_append(cur, tokens, self.block_size);
-        cur
+        Ok(cur)
     }
 
-    /// Forget `seq`'s shadow context; false when it held none.
-    fn release_kv(&mut self, seq: u64) -> bool {
-        match self.ctx.remove(&seq) {
-            Some(held) => {
+    /// Forget the shadow context of `seq` in `slot`. `Err(None)` when the
+    /// slot holds none, `Err(Some(owner))` when it holds another
+    /// sequence's (left untouched).
+    fn release_kv(&mut self, slot: SeqSlot, seq: u64) -> Result<(), Option<u64>> {
+        let entry = self.ctx.get_mut(slot.index()).ok_or(None)?;
+        match *entry {
+            Some((owner, held)) if owner == seq => {
+                *entry = None;
+                self.live_kv -= 1;
                 self.shadow_used -= held.to_blocks(self.block_size);
-                true
+                Ok(())
             }
-            None => false,
+            Some((owner, _)) => Err(Some(owner)),
+            None => Err(None),
         }
     }
 
@@ -366,9 +393,10 @@ impl InvariantAuditor {
         }
     }
 
-    /// Audit one batch completion. `finished` lists sequences whose KV the
-    /// engine freed; `after` is the occupancy after those frees.
-    pub fn on_complete(&mut self, t_s: f64, batch: u64, finished: &[u64], after: KvObservation) {
+    /// Audit one batch completion. `finished` lists the sequences, with
+    /// their slots, whose KV the engine freed; `after` is the occupancy
+    /// after those frees.
+    pub fn on_complete(&mut self, t_s: f64, batch: u64, finished: &[(u64, SeqSlot)], after: KvObservation) {
         self.last_t = t_s;
         if self.in_flight == 0 {
             self.violate(
@@ -380,16 +408,17 @@ impl InvariantAuditor {
         } else {
             self.in_flight -= 1;
         }
-        for &id in finished {
+        for &(id, slot) in finished {
             self.leave(id);
-            if !self.release_kv(id) {
-                self.violate(
-                    t_s,
-                    Some(batch),
-                    Invariant::KvAccounting,
-                    format!("finished seq {id} held no shadow KV"),
-                );
-            }
+            let detail = match self.release_kv(slot, id) {
+                Ok(()) => continue,
+                Err(None) => format!("finished seq {id} held no shadow KV"),
+                Err(Some(owner)) => format!(
+                    "finished seq {id} names slot {}, which holds seq {owner}'s shadow KV",
+                    slot.index()
+                ),
+            };
+            self.violate(t_s, Some(batch), Invariant::KvAccounting, detail);
         }
         self.check_kv(t_s, Some(batch), after);
     }
@@ -598,7 +627,7 @@ impl InvariantAuditor {
             batches_checked: self.batches_checked,
             in_flight: self.in_flight,
             depth: self.depth,
-            live_kv_seqs: self.ctx.len(),
+            live_kv_seqs: self.live_kv,
             shadow_used_blocks: self.shadow_used,
             total_blocks: self.total_blocks,
             violations: self.violations.len(),
@@ -615,8 +644,9 @@ impl InvariantAuditor {
     pub fn into_report(self, drained: bool) -> AuditReport {
         let mut this = self;
         if drained {
-            if !this.ctx.is_empty() {
-                let leaked: Vec<u64> = this.ctx.keys().copied().collect();
+            if this.live_kv != 0 {
+                let mut leaked: Vec<u64> = this.ctx.iter().flatten().map(|&(id, _)| id).collect();
+                leaked.sort_unstable();
                 let t = this.last_t;
                 this.violate(
                     t,
@@ -650,10 +680,20 @@ mod tests {
     use gllm_core::{BatchPlan, DecodeSlot, PrefillChunk, SeqSlot};
     use proptest::prelude::*;
 
+    /// The slot the tests give sequence `seq`: its own number.
+    fn slot_of(seq: u64) -> SeqSlot {
+        SeqSlot::new(u32::try_from(seq).expect("small test ids"))
+    }
+
+    /// Finished sequences with their slots.
+    fn fin(seqs: &[u64]) -> Vec<(u64, SeqSlot)> {
+        seqs.iter().map(|&seq| (seq, slot_of(seq))).collect()
+    }
+
     fn chunk(seq: u64, tokens: usize, context_before: usize, completes: bool) -> PrefillChunk {
         PrefillChunk {
             seq,
-            slot: SeqSlot::default(),
+            slot: slot_of(seq),
             tokens: Tokens(tokens),
             context_before: Tokens(context_before),
             completes_prompt: completes,
@@ -661,7 +701,7 @@ mod tests {
     }
 
     fn slot(seq: u64, context_before: usize) -> DecodeSlot {
-        DecodeSlot { seq, slot: SeqSlot::default(), context_before: Tokens(context_before) }
+        DecodeSlot { seq, slot: slot_of(seq), context_before: Tokens(context_before) }
     }
 
     fn obs(free: usize, used: usize) -> KvObservation {
@@ -691,9 +731,9 @@ mod tests {
         let plan = BatchPlan { prefill: vec![chunk(1, 20, 0, true)], decode: vec![] };
         a.on_schedule(0.0, 0, &plan, &plan, None, obs(8, 0), obs(6, 2));
         let decode = BatchPlan { prefill: vec![], decode: vec![slot(1, 20)] };
-        a.on_complete(0.1, 0, &[], obs(6, 2));
+        a.on_complete(0.1, 0, &fin(&[]), obs(6, 2));
         a.on_schedule(0.2, 1, &decode, &decode, None, obs(6, 2), obs(6, 2));
-        a.on_complete(0.3, 1, &[1], obs(8, 0));
+        a.on_complete(0.3, 1, &fin(&[1]), obs(8, 0));
         assert!(a.is_clean(), "{:?}", a.violations());
         assert!(a.into_report(true).is_clean());
     }
@@ -711,7 +751,7 @@ mod tests {
         // leaving 5 free.
         let warmup = BatchPlan { prefill: (0..4).map(|s| chunk(s, 64, 0, true)).collect(), decode: vec![] };
         a.on_schedule(0.0, 0, &warmup, &warmup, None, obs(21, 0), obs(5, 16));
-        a.on_complete(0.5, 0, &[], obs(5, 16));
+        a.on_complete(0.5, 0, &fin(&[]), obs(5, 16));
         let proposed = BatchPlan {
             prefill: vec![chunk(4, 63, 0, false)],
             decode: (0..4).map(|s| slot(s, 64)).collect(),
@@ -782,9 +822,9 @@ mod tests {
         a.on_abort(1); // head rejected: seq 2 may start
         let p2 = BatchPlan { prefill: vec![chunk(2, 8, 0, false)], decode: vec![] };
         a.on_schedule(0.0, 0, &p2, &p2, None, obs(64, 0), obs(63, 1));
-        a.on_complete(0.1, 0, &[], obs(63, 1));
+        a.on_complete(0.1, 0, &fin(&[]), obs(63, 1));
         // Seq 2 is preempted; seq 3 may still start because 2 *started*.
-        a.on_evict(2);
+        a.on_evict(slot_of(2), 2);
         let p3 = BatchPlan { prefill: vec![chunk(3, 8, 0, false)], decode: vec![] };
         a.on_schedule(0.2, 1, &p3, &p3, None, obs(64, 0), obs(63, 1));
         assert!(a.is_clean(), "{:?}", a.violations());
@@ -812,8 +852,8 @@ mod tests {
         // The pipeline dies with both batches in flight: the driver evicts
         // all KV, rolls both back and respawns.
         a.on_fault(0.2);
-        a.on_evict(1);
-        a.on_evict(2);
+        a.on_evict(slot_of(1), 1);
+        a.on_evict(slot_of(2), 2);
         a.on_recovery(0.2, 2);
         let s = a.snapshot();
         assert_eq!(s.in_flight, 0, "requeued batches leave the in-flight count");
@@ -823,7 +863,7 @@ mod tests {
         assert_eq!(s.live_kv_seqs, 0);
         // The recomputed schedule passes the KV cross-check from zero.
         a.on_schedule(0.3, 2, &p1, &p1, None, obs(64, 0), obs(63, 1));
-        a.on_complete(0.4, 2, &[1], obs(64, 0));
+        a.on_complete(0.4, 2, &fin(&[1]), obs(64, 0));
         assert!(a.is_clean(), "{:?}", a.violations());
         let report = a.into_report(false);
         assert_eq!(report.final_snapshot.recoveries, 1);
@@ -844,6 +884,36 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_named_with_the_wrong_owner_is_a_kv_accounting_violation() {
+        let mut a = auditor(64, 16, 4);
+        for seq in [1, 2] {
+            a.on_arrival(seq);
+        }
+        let p1 = BatchPlan { prefill: vec![chunk(1, 8, 0, true)], decode: vec![] };
+        a.on_schedule(0.0, 0, &p1, &p1, None, obs(64, 0), obs(63, 1));
+        a.on_complete(0.1, 0, &fin(&[]), obs(63, 1));
+        assert!(a.is_clean(), "{:?}", a.violations());
+        // Seq 2's chunk, slot and eviction all name seq 1's slot: each is
+        // reported, none panics, and seq 1's shadow is untouched.
+        let stray = BatchPlan {
+            prefill: vec![PrefillChunk { slot: slot_of(1), ..chunk(2, 8, 0, true) }],
+            decode: vec![DecodeSlot { slot: slot_of(1), ..slot(2, 8) }],
+        };
+        a.on_schedule(0.2, 1, &stray, &stray, None, obs(63, 1), obs(63, 1));
+        a.on_complete(0.3, 1, &[(2, slot_of(1))], obs(63, 1));
+        a.on_evict(slot_of(1), 2);
+        let kinds: Vec<Invariant> = a.violations().iter().map(|v| v.invariant).collect();
+        assert_eq!(kinds, [Invariant::KvAccounting; 4], "{:?}", a.violations());
+        assert!(a.violations().iter().all(|v| v.detail.contains("holds seq 1's shadow KV")));
+        let s = a.snapshot();
+        assert_eq!((s.live_kv_seqs, s.shadow_used_blocks), (1, Blocks(1)));
+        // Seq 1 still leaves cleanly from its own slot.
+        a.on_evict(slot_of(1), 1);
+        assert_eq!(a.violations().len(), 4);
+        assert_eq!(a.snapshot().live_kv_seqs, 0);
+    }
+
+    #[test]
     fn integrity_failure_is_a_violation() {
         let mut a = auditor(64, 16, 4);
         a.on_integrity_failure(0.5, Some(3), "committed chunk without KV table".to_string());
@@ -859,7 +929,7 @@ mod tests {
         a.on_arrival(1);
         let plan = BatchPlan { prefill: vec![chunk(1, 20, 0, true)], decode: vec![] };
         a.on_schedule(0.0, 0, &plan, &plan, None, obs(8, 0), obs(6, 2));
-        a.on_complete(0.1, 0, &[], obs(6, 2));
+        a.on_complete(0.1, 0, &fin(&[]), obs(6, 2));
         let report = a.into_report(true);
         assert!(!report.is_clean());
         assert!(report.violations.iter().any(|v| v.detail.contains("leak") || v.detail.contains("left shadow KV")));
@@ -904,7 +974,6 @@ mod tests {
             self.base.last_t = t_s;
             self.base.requests_failed += 1;
             self.gone.insert(seq);
-            self.ctx.remove(&seq);
         }
 
         #[allow(clippy::too_many_arguments)]
@@ -1120,7 +1189,7 @@ mod tests {
                         r.on_request_failed(t, seq);
                     }
                     5 => {
-                        a.on_evict(seq);
+                        a.on_evict(slot_of(seq), seq);
                         r.ctx.remove(&seq);
                     }
                     6 => {
@@ -1130,7 +1199,7 @@ mod tests {
                         a.on_fault(t);
                         r.base.on_fault(t);
                         for s in live {
-                            a.on_evict(s);
+                            a.on_evict(slot_of(s), s);
                             r.ctx.remove(&s);
                         }
                         a.on_recovery(t, tokens % 4);
@@ -1198,7 +1267,7 @@ mod tests {
                         let used: Blocks = after_ctx.values().map(|&c| c.to_blocks(Tokens(BLOCK_SIZE))).sum();
                         let after = skew(obs(TOTAL_BLOCKS - used.get(), used.get()), flags / 8);
                         let done = batch.saturating_sub(1);
-                        a.on_complete(t, done, &finished, after);
+                        a.on_complete(t, done, &fin(&finished), after);
                         r.on_complete(t, done, &finished, after);
                     }
                 }

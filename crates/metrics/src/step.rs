@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Display;
 
-use gllm_core::{admit, BatchOutcome, BatchPlan, RequestPool, SchedulePolicy};
+use gllm_core::{admit, BatchOutcome, BatchPlan, RequestPool, SchedulePolicy, SeqSlot};
 use gllm_kvcache::KvCacheManager;
 
 use crate::audit::{AuditReport, InvariantAuditor, KvObservation, PlanCaps};
@@ -169,8 +169,8 @@ impl SchedulerStep {
         prepare: impl FnOnce(u64, &BatchPlan, &RequestPool, &KvCacheManager) -> Result<T, E>,
     ) -> Scheduled<T, E> {
         let admission = admit(proposal.plan, &mut self.pool, &mut self.kv);
-        for &victim in &admission.preempted {
-            self.record_preemption(rec, now, victim);
+        for &(victim, slot) in &admission.preempted {
+            self.record_preemption(rec, now, victim, slot);
         }
         let plan = admission.plan;
         if plan.is_empty() {
@@ -178,11 +178,11 @@ impl SchedulerStep {
                 return Scheduled::Idle;
             }
             // Bounded: each eviction frees a context of > 0 tokens.
-            let Some((victim, _)) = self.pool.preempt_stalled_waiting() else {
+            let Some((victim, slot, _)) = self.pool.preempt_stalled_waiting() else {
                 return Scheduled::Idle;
             };
-            if self.kv.contains(victim) {
-                if let Err(e) = self.kv.evict(victim) {
+            if self.kv.contains(slot, victim) {
+                if let Err(e) = self.kv.evict(slot, victim) {
                     self.integrity_failure(
                         now,
                         None,
@@ -190,7 +190,7 @@ impl SchedulerStep {
                     );
                 }
             }
-            self.record_preemption(rec, now, victim);
+            self.record_preemption(rec, now, victim, slot);
             return Scheduled::Unstalled;
         }
         self.pool.commit(&plan);
@@ -226,8 +226,8 @@ impl SchedulerStep {
     pub fn complete(&mut self, now: f64, batch: u64) -> Option<BatchOutcome> {
         let plan = self.in_flight.remove(&batch)?;
         let outcome = self.pool.complete(&plan);
-        for &seq in &outcome.finished {
-            if let Err(e) = self.kv.free(seq) {
+        for &(seq, slot) in &outcome.finished {
+            if let Err(e) = self.kv.free(slot, seq) {
                 self.integrity_failure(
                     now,
                     Some(batch),
@@ -275,12 +275,12 @@ impl SchedulerStep {
         (self.trace, self.auditor.map(|a| a.into_report(drained)))
     }
 
-    fn record_preemption(&mut self, rec: &mut MetricsRecorder, now: f64, victim: u64) {
+    fn record_preemption(&mut self, rec: &mut MetricsRecorder, now: f64, victim: u64, slot: SeqSlot) {
         rec.on_preemption(victim);
         self.preemptions += 1;
         self.trace.preempt(now, victim);
         if let Some(a) = self.auditor.as_mut() {
-            a.on_evict(victim);
+            a.on_evict(slot, victim);
         }
     }
 
@@ -375,6 +375,11 @@ mod tests {
         step.schedule(proposal, rec, 0.0, |_, plan, _, _| Ok(plan.clone()))
     }
 
+    /// Whether `seq` holds a KV table in any slot.
+    fn holds_kv(step: &SchedulerStep, seq: u64) -> bool {
+        step.kv.live_sequences().iter().any(|&(id, _)| id == seq)
+    }
+
     fn assert_clean(step: SchedulerStep) {
         let (_, audit) = step.finish();
         let audit = audit.expect("auditing on");
@@ -400,7 +405,7 @@ mod tests {
             Scheduled::Unstalled
         ));
         // The latest arrival gave its KV back and will recompute.
-        assert!(!step.kv.contains(2));
+        assert!(!holds_kv(&step, 2));
         assert_eq!(step.kv.free_blocks(), Blocks(4));
         assert_eq!(step.pool.seq(2).expect("live").context_len(), 0);
         assert_eq!(step.preemptions(), 1);
@@ -461,9 +466,9 @@ mod tests {
         };
         assert_eq!(step.in_flight(), 1);
         let outcome = step.complete(1.0, id).expect("in flight");
-        assert_eq!(outcome.finished, vec![1]);
-        assert!(!step.kv.contains(1), "finished sequence kept its KV");
-        assert!(step.kv.contains(2), "live sequence lost its KV");
+        assert_eq!(outcome.finished.iter().map(|&(seq, _)| seq).collect::<Vec<_>>(), vec![1]);
+        assert!(!holds_kv(&step, 1), "finished sequence kept its KV");
+        assert!(holds_kv(&step, 2), "live sequence lost its KV");
         assert_eq!(step.in_flight(), 0);
         assert!(step.complete(1.0, id).is_none(), "a batch completes once");
         assert!(step.trace.events().iter().any(|e| matches!(

@@ -375,13 +375,13 @@ impl Driver {
     /// pipeline keeps serving everyone else.
     fn fail_request(&mut self, seq: u64) {
         let now = self.now();
-        if self.step.kv.contains(seq) {
-            let _ = self.step.kv.evict(seq);
-            if let Some(a) = self.step.auditor.as_mut() {
-                a.on_evict(seq);
+        if let Some(slot) = self.step.pool.slot(seq) {
+            if self.step.kv.contains(slot, seq) {
+                let _ = self.step.kv.evict(slot, seq);
+                if let Some(a) = self.step.auditor.as_mut() {
+                    a.on_evict(slot, seq);
+                }
             }
-        }
-        if self.step.pool.seq(seq).is_some() {
             self.step.pool.abort(seq);
         }
         self.seqs.remove(&seq);
@@ -531,12 +531,10 @@ impl Driver {
         // 3. Roll back every batch that will never complete, oldest first.
         let lost = self.step.abandon_in_flight();
         // 4. All resident KV died with the stages that computed it.
-        let mut live = self.step.kv.live_sequences();
-        live.sort_unstable();
-        for seq in live {
-            let _ = self.step.kv.evict(seq);
+        for (seq, slot) in self.step.kv.live_sequences() {
+            let _ = self.step.kv.evict(slot, seq);
             if let Some(a) = self.step.auditor.as_mut() {
-                a.on_evict(seq);
+                a.on_evict(slot, seq);
             }
         }
         let reset = self.step.pool.preempt_all_live();
@@ -607,7 +605,7 @@ fn build_meta(
         let Some(info) = seqs.get(&c.seq) else {
             return Err(MetaIntegrityError { seq: c.seq, what: "request text" });
         };
-        let Some(table) = kvm.table(c.seq) else {
+        let Some(table) = kvm.table(c.slot, c.seq) else {
             return Err(MetaIntegrityError { seq: c.seq, what: "KV table" });
         };
         let Some(state) = pool.seq_at(c.slot, c.seq) else {
@@ -631,7 +629,7 @@ fn build_meta(
         let Some(info) = seqs.get(&d.seq) else {
             return Err(MetaIntegrityError { seq: d.seq, what: "request text" });
         };
-        let Some(table) = kvm.table(d.seq) else {
+        let Some(table) = kvm.table(d.slot, d.seq) else {
             return Err(MetaIntegrityError { seq: d.seq, what: "KV table" });
         };
         let Some(state) = pool.seq_at(d.slot, d.seq) else {

@@ -177,6 +177,13 @@ impl Submitter {
     pub fn submit(&self, req: GenRequest) -> Result<(), SubmitError> {
         self.req_tx.send(DriverMsg::Submit(req)).map_err(|_| SubmitError)
     }
+
+    /// Ask the driver to drain its in-flight work and exit. Once it has,
+    /// [`Server::wait_event`] returns `None`, so a thread blocked there
+    /// learns of the shutdown as an event rather than by polling.
+    pub fn request_shutdown(&self) {
+        let _ = self.req_tx.send(DriverMsg::Shutdown);
+    }
 }
 
 /// The driver is no longer accepting requests: the server was shut down or
@@ -319,6 +326,18 @@ impl Server {
         let mut pending = self.pending();
         pending.extend(events);
         pending.pop_front()
+    }
+
+    /// Block until the next stream event. `None` once the driver has
+    /// exited (shut down or died) and every event it sent was handed out.
+    pub fn wait_event(&self) -> Option<StreamEvent> {
+        loop {
+            if let Some(ev) = self.pending().pop_front() {
+                return Some(ev);
+            }
+            let events = self.stream_rx.recv().ok()?;
+            self.pending().extend(events);
+        }
     }
 
     fn pending(&self) -> MutexGuard<'_, VecDeque<StreamEvent>> {

@@ -260,14 +260,14 @@ pub fn simulate_disaggregated(
                         // Finishing on the prefill side = first token out,
                         // then ship the KV to the decode cluster.
                         debug_assert!(outcome.emitted.iter().all(|e| e.finished));
-                        for &seq in &outcome.finished {
+                        for &(seq, _) in &outcome.finished {
                             let (prompt_len, _) = req_info[&seq];
                             let bytes = prompt_len as u64 * kv_bytes_per_token;
                             let dt = deployment.cluster.link.p2p_time(bytes);
                             d.events.push(t + dt, DEvent::TransferDone { seq });
                         }
                     } else {
-                        for &seq in &outcome.finished {
+                        for &(seq, _) in &outcome.finished {
                             d.recorder.on_finish(seq, t);
                         }
                         // Freed KV may unblock queued transfers.
@@ -323,17 +323,23 @@ pub fn simulate_disaggregated(
 }
 
 /// Admit a sequence whose prompt KV arrived from the prefill side, if the
-/// decode side has room for it.
+/// decode side has room for it: it joins the pool, and its KV lands in
+/// the slot the pool gave it.
 fn admit_transferred(
     step: &mut SchedulerStep,
     seq: u64,
     prompt_len: usize,
     max_output: usize,
 ) -> bool {
-    if step.kv.append(seq, Tokens(prompt_len)).is_err() {
+    let tokens = Tokens(prompt_len);
+    if tokens.to_blocks(step.kv.block_size()) > step.kv.free_blocks() {
         return false;
     }
-    step.pool.add_decoding(seq, prompt_len, 1, max_output);
+    let slot = step.pool.add_decoding(seq, prompt_len, 1, max_output);
+    if step.kv.append(slot, seq, tokens).is_err() {
+        step.pool.abort(seq);
+        return false;
+    }
     true
 }
 

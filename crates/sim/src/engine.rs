@@ -429,7 +429,7 @@ impl<'a> SimEngine<'a> {
         for e in &outcome.emitted {
             self.recorder.on_token(e.seq, self.clock);
         }
-        for &id in &outcome.finished {
+        for &(id, _) in &outcome.finished {
             self.recorder.on_finish(id, self.clock);
         }
         self.try_schedule();

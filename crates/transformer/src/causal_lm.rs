@@ -4,12 +4,18 @@
 //! [`CausalLM`] is the convenience wrapper used by tests, examples and the
 //! functionality study: it owns every [`StageModel`] of a (possibly
 //! 1-stage) pipeline plus the `gllm-kvcache` manager, and exposes
-//! prefill/decode/generate. The threaded runtime (`gllm-runtime`) instead
+//! prefill/decode/generate. It has no request pool, so it numbers its own
+//! sequences: each id gets a [`SeqSlot`] (the KV manager's key) when its
+//! first token is cached, and gives it back on release for the next id to
+//! reuse. The threaded runtime (`gllm-runtime`) instead
 //! distributes the same stages across worker threads — both paths execute
 //! identical arithmetic, which is what the cross-plane equivalence tests
 //! assert.
 
-use gllm_kvcache::{Blocks, KvCacheManager, KvError, Tokens};
+use std::collections::BTreeMap;
+use std::ops::Deref;
+
+use gllm_kvcache::{Blocks, KvCacheManager, KvError, SeqSlot, Tokens};
 use gllm_model::ModelConfig;
 
 use crate::model::{BatchChunk, StageModel};
@@ -20,6 +26,33 @@ pub struct CausalLM {
     cfg: ModelConfig,
     stages: Vec<StageModel>,
     kvm: KvCacheManager,
+    /// The slot of every sequence that holds a page table.
+    slots: BTreeMap<u64, SeqSlot>,
+    /// Released slots, reused last-released first.
+    free_slots: Vec<SeqSlot>,
+}
+
+/// The KV manager as [`CausalLM`]'s callers see it: every
+/// [`KvCacheManager`] query, plus per-sequence ones by id.
+#[derive(Clone, Copy)]
+pub struct LmKv<'a> {
+    kvm: &'a KvCacheManager,
+    slots: &'a BTreeMap<u64, SeqSlot>,
+}
+
+impl LmKv<'_> {
+    /// Tokens cached for `seq` (0 when unknown).
+    pub fn context_len(&self, seq: u64) -> Tokens {
+        self.slots.get(&seq).map_or(Tokens::ZERO, |&slot| self.kvm.context_len(slot, seq))
+    }
+}
+
+impl Deref for LmKv<'_> {
+    type Target = KvCacheManager;
+
+    fn deref(&self) -> &KvCacheManager {
+        self.kvm
+    }
 }
 
 impl CausalLM {
@@ -55,6 +88,8 @@ impl CausalLM {
             cfg: cfg.clone(),
             stages,
             kvm: KvCacheManager::new(Blocks(kv_blocks), Tokens(block_size)),
+            slots: BTreeMap::new(),
+            free_slots: Vec::new(),
         }
     }
 
@@ -63,27 +98,54 @@ impl CausalLM {
         &self.cfg
     }
 
-    /// The KV manager (inspect utilisation, page tables).
-    pub fn kv(&self) -> &KvCacheManager {
-        &self.kvm
+    /// The KV manager (inspect utilisation, page tables, contexts).
+    pub fn kv(&self) -> LmKv<'_> {
+        LmKv { kvm: &self.kvm, slots: &self.slots }
+    }
+
+    /// The slot of `seq`, numbering it with a free slot when it has none.
+    fn slot_for(&mut self, seq: u64) -> SeqSlot {
+        if let Some(&slot) = self.slots.get(&seq) {
+            return slot;
+        }
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            SeqSlot::new(u32::try_from(self.slots.len()).expect("fewer than u32::MAX live sequences"))
+        });
+        self.slots.insert(seq, slot);
+        slot
+    }
+
+    /// Give `seq`'s slot back unless it holds a page table (after a
+    /// failed first append or fork).
+    fn unnumber_if_empty(&mut self, seq: u64, slot: SeqSlot) {
+        if !self.kvm.contains(slot, seq) && self.slots.remove(&seq).is_some() {
+            self.free_slots.push(slot);
+        }
     }
 
     /// Run one micro-batch of chunks through every stage. KV slots for the
     /// new tokens are allocated here; returns `(seq, logits)` for each
     /// chunk with `sample == true`.
     pub fn forward_batch(&mut self, chunks: &[BatchChunk]) -> Result<Vec<(u64, Vec<f32>)>, KvError> {
+        let mut slots = Vec::with_capacity(chunks.len());
         for c in chunks {
+            let slot = self.slot_for(c.seq);
             debug_assert_eq!(
-                self.kvm.context_len(c.seq).get(),
+                self.kvm.context_len(slot, c.seq).get(),
                 c.start_pos,
                 "gap in KV for {}",
                 c.seq
             );
-            self.kvm.append(c.seq, Tokens(c.tokens.len()))?;
+            if let Err(e) = self.kvm.append(slot, c.seq, Tokens(c.tokens.len())) {
+                self.unnumber_if_empty(c.seq, slot);
+                return Err(e);
+            }
+            slots.push(slot);
         }
         let tables: Vec<_> = chunks
             .iter()
-            .map(|c| self.kvm.table(c.seq).expect("just appended"))
+            .zip(&slots)
+            .map(|(c, &slot)| self.kvm.table(slot, c.seq).expect("just appended"))
             .collect();
         let mut hidden = self.stages[0].embed(chunks);
         for stage in self.stages.iter_mut() {
@@ -117,7 +179,7 @@ impl CausalLM {
 
     /// One decode step: feed `token` at the sequence's current position.
     pub fn decode_step(&mut self, seq: u64, token: u32) -> Result<Vec<f32>, KvError> {
-        let pos = self.kvm.context_len(seq).get();
+        let pos = self.kv().context_len(seq).get();
         let c = BatchChunk { seq, start_pos: pos, tokens: vec![token], sample: true };
         let mut out = self.forward_batch(std::slice::from_ref(&c))?;
         Ok(out.remove(0).1)
@@ -146,9 +208,11 @@ impl CausalLM {
         Ok(out)
     }
 
-    /// Release a finished sequence's KV.
+    /// Release a finished sequence's KV (and its slot).
     pub fn release(&mut self, seq: u64) -> Result<(), KvError> {
-        self.kvm.free(seq)
+        let slot = self.slots.remove(&seq).ok_or(KvError::UnknownSequence(seq))?;
+        self.free_slots.push(slot);
+        self.kvm.free(slot, seq)
     }
 
     /// Prefill `child` whose prompt shares a prefix with the already-cached
@@ -167,7 +231,15 @@ impl CausalLM {
         prompt: &[u32],
         chunk_size: usize,
     ) -> Result<Vec<f32>, KvError> {
-        let shared = self.kvm.fork_prefix(parent, child)?.get();
+        let parent_slot = *self.slots.get(&parent).ok_or(KvError::UnknownSequence(parent))?;
+        let child_slot = self.slot_for(child);
+        let shared = match self.kvm.fork_prefix(parent_slot, parent, child_slot, child) {
+            Ok(shared) => shared.get(),
+            Err(e) => {
+                self.unnumber_if_empty(child, child_slot);
+                return Err(e);
+            }
+        };
         assert!(
             shared < prompt.len(),
             "prompt ({}) must extend past the shared prefix ({shared})",

@@ -33,7 +33,7 @@ pub mod model;
 pub mod sampler;
 pub mod weights;
 
-pub use causal_lm::CausalLM;
+pub use causal_lm::{CausalLM, LmKv};
 pub use kvstore::PagedKvStore;
 pub use model::{BatchChunk, StageModel};
 pub use sampler::{sample, SamplingParams};

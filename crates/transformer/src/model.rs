@@ -316,7 +316,12 @@ fn attend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gllm_kvcache::{Blocks, KvCacheManager, Tokens};
+    use gllm_kvcache::{Blocks, KvCacheManager, SeqSlot, Tokens};
+
+    /// The tests give sequence `seq` slot `seq`.
+    fn slot(seq: u64) -> SeqSlot {
+        SeqSlot::new(u32::try_from(seq).expect("small test ids"))
+    }
 
     fn tiny_stage(kv_slots: usize) -> StageModel {
         let cfg = ModelConfig::tiny();
@@ -324,9 +329,9 @@ mod tests {
     }
 
     fn run_prompt(stage: &mut StageModel, kvm: &mut KvCacheManager, seq: u64, prompt: &[u32]) -> Vec<f32> {
-        kvm.append(seq, Tokens(prompt.len())).unwrap();
+        kvm.append(slot(seq), seq, Tokens(prompt.len())).unwrap();
         let chunk = BatchChunk { seq, start_pos: 0, tokens: prompt.to_vec(), sample: true };
-        let table = kvm.table(seq).unwrap();
+        let table = kvm.table(slot(seq), seq).unwrap();
         let mut hidden = stage.embed(std::slice::from_ref(&chunk));
         // Cloning the table is fine: slots were assigned at append time.
         let t = table.clone();
@@ -365,14 +370,14 @@ mod tests {
         // Chunked prefill: 3 + 5 tokens.
         let mut kvm_b = KvCacheManager::new(Blocks(32), Tokens(4));
         let mut sb = tiny_stage(128);
-        kvm_b.append(1, Tokens(3)).unwrap();
+        kvm_b.append(slot(1), 1, Tokens(3)).unwrap();
         let c1 = BatchChunk { seq: 1, start_pos: 0, tokens: prompt[..3].to_vec(), sample: false };
-        let t1 = kvm_b.table(1).unwrap().clone();
+        let t1 = kvm_b.table(slot(1), 1).unwrap().clone();
         let mut h1 = sb.embed(std::slice::from_ref(&c1));
         sb.forward(std::slice::from_ref(&c1), &[&t1], &mut h1);
-        kvm_b.append(1, Tokens(5)).unwrap();
+        kvm_b.append(slot(1), 1, Tokens(5)).unwrap();
         let c2 = BatchChunk { seq: 1, start_pos: 3, tokens: prompt[3..].to_vec(), sample: true };
-        let t2 = kvm_b.table(1).unwrap().clone();
+        let t2 = kvm_b.table(slot(1), 1).unwrap().clone();
         let mut h2 = sb.embed(std::slice::from_ref(&c2));
         sb.forward(std::slice::from_ref(&c2), &[&t2], &mut h2);
         let chunked = sb.project(std::slice::from_ref(&c2), &h2).remove(0).1;
@@ -386,14 +391,14 @@ mod tests {
         let p2: Vec<u32> = vec![200, 100, 50];
         let mut kvm = KvCacheManager::new(Blocks(64), Tokens(4));
         let mut s = tiny_stage(256);
-        kvm.append(1, Tokens(p1.len())).unwrap();
-        kvm.append(2, Tokens(p2.len())).unwrap();
+        kvm.append(slot(1), 1, Tokens(p1.len())).unwrap();
+        kvm.append(slot(2), 2, Tokens(p2.len())).unwrap();
         let chunks = vec![
             BatchChunk { seq: 1, start_pos: 0, tokens: p1.clone(), sample: true },
             BatchChunk { seq: 2, start_pos: 0, tokens: p2.clone(), sample: true },
         ];
-        let t1 = kvm.table(1).unwrap().clone();
-        let t2 = kvm.table(2).unwrap().clone();
+        let t1 = kvm.table(slot(1), 1).unwrap().clone();
+        let t2 = kvm.table(slot(2), 2).unwrap().clone();
         let mut hidden = s.embed(&chunks);
         s.forward(&chunks, &[&t1, &t2], &mut hidden);
         let batched = s.project(&chunks, &hidden);
@@ -421,9 +426,9 @@ mod tests {
         let mut s0 = StageModel::new(cfg.clone(), 0..2, 128, 7, true, false);
         let mut s1 = StageModel::new(cfg.clone(), 2..4, 128, 7, false, true);
         let mut kvm2 = KvCacheManager::new(Blocks(32), Tokens(4));
-        kvm2.append(1, Tokens(prompt.len())).unwrap();
+        kvm2.append(slot(1), 1, Tokens(prompt.len())).unwrap();
         let chunk = BatchChunk { seq: 1, start_pos: 0, tokens: prompt.clone(), sample: true };
-        let t = kvm2.table(1).unwrap().clone();
+        let t = kvm2.table(slot(1), 1).unwrap().clone();
         let mut hidden = s0.embed(std::slice::from_ref(&chunk));
         s0.forward(std::slice::from_ref(&chunk), &[&t], &mut hidden);
         s1.forward(std::slice::from_ref(&chunk), &[&t], &mut hidden);
@@ -438,12 +443,12 @@ mod tests {
         let prompt: Vec<u32> = vec![7, 8, 9, 10, 11, 12];
         let mut kvm = KvCacheManager::new(Blocks(16), Tokens(2));
         let mut s = tiny_stage(32);
-        kvm.append(10, Tokens(2)).unwrap(); // occupy block 0
-        kvm.append(11, Tokens(2)).unwrap(); // occupy block 1
-        kvm.free(10).unwrap(); // hole at block 0
-        kvm.append(2, Tokens(prompt.len())).unwrap(); // spans hole + tail blocks
+        kvm.append(slot(10), 10, Tokens(2)).unwrap(); // occupy block 0
+        kvm.append(slot(11), 11, Tokens(2)).unwrap(); // occupy block 1
+        kvm.free(slot(10), 10).unwrap(); // hole at block 0
+        kvm.append(slot(2), 2, Tokens(prompt.len())).unwrap(); // spans hole + tail blocks
         let chunk = BatchChunk { seq: 2, start_pos: 0, tokens: prompt.clone(), sample: true };
-        let t = kvm.table(2).unwrap().clone();
+        let t = kvm.table(slot(2), 2).unwrap().clone();
         let mut hidden = s.embed(std::slice::from_ref(&chunk));
         s.forward(std::slice::from_ref(&chunk), &[&t], &mut hidden);
         let frag = s.project(std::slice::from_ref(&chunk), &hidden).remove(0).1;
