@@ -18,21 +18,16 @@
 //! Virtual time, deterministic event ordering and seeded workloads make
 //! every simulation bit-reproducible.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::convert::Infallible;
-
-use gllm_core::{BatchPlan, RequestPool, SchedulePolicy};
+use gllm_core::{RequestPool, SchedulePolicy};
 use gllm_kvcache::{Blocks, KvCacheManager, Tokens};
 use gllm_metrics::{
-    AuditReport, BusyTracker, MetricsRecorder, PipelineTrace, Scheduled, SchedulerStep,
-    TokenTrace,
+    AuditReport, BusyTracker, MetricsRecorder, PipelineTrace, SchedulerStep, TokenTrace,
 };
-use gllm_model::{
-    BatchWorkload, CostModel, LinkSpec, PipelinePartition, SequenceChunk, StageTimeCache,
-};
+use gllm_model::{BatchWorkload, CostModel, LinkSpec, PipelinePartition, StageTimeCache};
 use gllm_workload::Trace;
 
-use crate::event::{Event, EventQueue};
+use crate::event::Event;
+use crate::pipeline::{Pipeline, Sim};
 use crate::runtime_model::RuntimeModel;
 
 /// Engine knobs independent of the system under test.
@@ -159,63 +154,11 @@ impl ExecutionModel {
     }
 
     /// GPUs kept busy by `stage`.
-    fn busy_gpus(&self, stage: usize) -> std::ops::Range<usize> {
+    pub(crate) fn busy_gpus(&self, stage: usize) -> std::ops::Range<usize> {
         match self {
             ExecutionModel::Pipeline { .. } => stage..stage + 1,
             ExecutionModel::Tensor { tp, .. } => 0..*tp,
         }
-    }
-}
-
-/// A micro-batch travelling through the pipeline.
-#[derive(Debug, Clone)]
-pub(crate) struct InFlightBatch {
-    workload: BatchWorkload,
-    /// Tokens sampled on the last stage: every decode, plus each prefill
-    /// chunk that completes its prompt.
-    sampled: usize,
-    num_seqs: usize,
-    /// Per-batch stage-time memo (the workload is frozen at schedule time,
-    /// so stages sharing a (layers, lm-head) key share one evaluation).
-    stage_times: StageTimeCache,
-    /// Activation-transfer time, evaluated once on the first inter-stage
-    /// hop (identical for every hop of this batch).
-    comm_s: Option<f64>,
-}
-
-impl InFlightBatch {
-    /// The batch of a committed plan, recording its token composition in
-    /// `token_trace` when given.
-    pub(crate) fn new(plan: &BatchPlan, token_trace: Option<&mut TokenTrace>) -> Self {
-        if let Some(t) = token_trace {
-            t.record(plan.prefill_tokens().get(), plan.decode_tokens().get());
-        }
-        Self {
-            workload: to_workload(plan),
-            sampled: plan.decode.len() + plan.prefill.iter().filter(|c| c.completes_prompt).count(),
-            num_seqs: plan.num_seqs(),
-            stage_times: StageTimeCache::new(),
-            comm_s: None,
-        }
-    }
-
-    /// Wall time of this batch on `stage` of `exec`: the (memoized)
-    /// execution time stretched by `slowdown`, plus the runtime's
-    /// per-stage overhead.
-    pub(crate) fn stage_duration(
-        &mut self,
-        exec: &ExecutionModel,
-        runtime: &RuntimeModel,
-        stage: usize,
-        slowdown: f64,
-    ) -> f64 {
-        let raw = exec.stage_time(stage, &self.workload, self.sampled, &mut self.stage_times);
-        raw * slowdown + runtime.stage_overhead(self.num_seqs)
-    }
-
-    /// Activation-transfer time between consecutive stages (memoized).
-    pub(crate) fn comm_time(&mut self, exec: &ExecutionModel) -> f64 {
-        *self.comm_s.get_or_insert_with(|| exec.comm_time(&self.workload))
     }
 }
 
@@ -248,26 +191,13 @@ pub struct SimOutput {
     pub audit: Option<AuditReport>,
 }
 
-/// The discrete-event serving engine. Construct with [`SimEngine::new`] and
-/// consume with [`SimEngine::run`].
+/// The discrete-event serving engine: one `Pipeline` fed by the trace's
+/// arrivals. Construct with [`SimEngine::new`] and consume with
+/// [`SimEngine::run`].
 pub struct SimEngine<'a> {
     trace: &'a Trace,
-    policy: &'a dyn SchedulePolicy,
-    exec: ExecutionModel,
-    runtime: RuntimeModel,
-    cfg: &'a EngineConfig,
-
-    clock: f64,
-    events: EventQueue,
-    step: SchedulerStep,
-
-    stage_busy: Vec<Option<u64>>,
-    stage_queue: Vec<VecDeque<u64>>,
-    batches: BTreeMap<u64, InFlightBatch>,
-
-    recorder: MetricsRecorder,
-    token_trace: TokenTrace,
-    busy: BusyTracker,
+    sim: Sim<'a>,
+    pipe: Pipeline<'a>,
     aborted: usize,
 }
 
@@ -284,8 +214,6 @@ impl<'a> SimEngine<'a> {
         max_seqs_per_batch: usize,
         cfg: &'a EngineConfig,
     ) -> Self {
-        let stages = exec.stage_count();
-        let num_gpus = exec.num_gpus();
         let step = SchedulerStep::new(
             RequestPool::new(max_seqs_per_batch).with_cpp(cfg.enable_cpp),
             KvCacheManager::new(Blocks(kv_blocks), Tokens(block_size)),
@@ -293,187 +221,47 @@ impl<'a> SimEngine<'a> {
             cfg.audit,
             cfg.record_pipeline_trace,
         );
-        // Pre-size the hot buffers: the queue is seeded with one arrival
-        // per request (plus a small in-flight margin), and each request
-        // contributes roughly one token-trace point / stage interval per
-        // output token — a cheap lower bound that absorbs the early
-        // doubling reallocations.
-        let n = trace.requests.len();
-        let events = EventQueue::with_capacity(n + 2 * stages + 8);
-        let token_trace = if cfg.record_token_trace {
-            TokenTrace::with_capacity(2 * n)
-        } else {
-            TokenTrace::new()
-        };
-        let busy = if cfg.record_utilization {
-            BusyTracker::with_capacity(num_gpus, 2 * n * stages)
-        } else {
-            BusyTracker::new(num_gpus)
-        };
         Self {
             trace,
-            policy,
-            exec,
-            runtime,
-            cfg,
-            clock: 0.0,
-            events,
-            step,
-            stage_busy: vec![None; stages],
-            stage_queue: vec![VecDeque::new(); stages],
-            batches: BTreeMap::new(),
-            recorder: MetricsRecorder::new(),
-            token_trace,
-            busy,
+            sim: Sim::new(cfg, trace, exec.num_gpus(), exec.stage_count()),
+            pipe: Pipeline::new(0, exec, runtime, policy, step, 0, &cfg.stage_slowdown),
             aborted: 0,
         }
     }
 
     /// Run to completion (or the time limit) and return the raw output.
     pub fn run(mut self) -> SimOutput {
-        for (i, _) in self.trace.requests.iter().enumerate() {
-            self.events
-                .push(self.trace.requests[i].arrival_s, Event::Arrival { trace_index: i });
+        while let Some(ev) = self.sim.next_event() {
+            self.on_event(ev);
         }
-        while let Some((t, ev)) = self.events.pop() {
-            if t > self.cfg.max_sim_time_s {
-                break;
-            }
-            self.clock = t;
-            match ev {
-                Event::Arrival { trace_index } => self.on_arrival(trace_index),
-                Event::BatchReady { batch, stage } => self.on_batch_ready(batch, stage),
-                Event::StageDone { batch, stage } => self.on_stage_done(batch, stage),
-            }
-        }
-        let step = self.step;
-        let (unfinished, final_kv_free_rate) = (step.pool.unfinished_count(), step.kv.free_rate());
-        let (sched_iterations, preemptions) = (step.batches() as usize, step.preemptions());
-        let (trace, audit) = step.finish();
-        SimOutput {
-            recorder: self.recorder,
-            token_trace: self.token_trace,
-            busy: self.busy,
-            end_time_s: self.clock,
-            sched_iterations,
-            preemptions,
-            aborted: self.aborted,
-            unfinished,
-            final_kv_free_rate,
-            trace,
-            audit,
-        }
+        self.sim.into_output([self.pipe.step], self.aborted, 0)
     }
 
-    fn on_arrival(&mut self, trace_index: usize) {
-        let r = &self.trace.requests[trace_index];
-        self.recorder.on_arrival(r.id, self.clock, r.prompt_len);
-        // A request whose full context can never fit is rejected up front
-        // (a real engine would return an error to the client).
-        if !self.step.arrive(r.id, r.prompt_len, r.output_len) {
-            self.aborted += 1;
-            return;
-        }
-        self.try_schedule();
-    }
-
-    fn on_batch_ready(&mut self, batch: u64, stage: usize) {
-        if self.stage_busy[stage].is_none() && self.stage_queue[stage].is_empty() {
-            self.start_stage(batch, stage, self.clock);
-        } else {
-            self.stage_queue[stage].push_back(batch);
-        }
-    }
-
-    fn on_stage_done(&mut self, batch: u64, stage: usize) {
-        debug_assert_eq!(self.stage_busy[stage], Some(batch));
-        self.stage_busy[stage] = None;
-        if let Some(next) = self.stage_queue[stage].pop_front() {
-            self.start_stage(next, stage, self.clock);
-        }
-        if stage + 1 < self.exec.stage_count() {
-            let b = self.batches.get_mut(&batch).expect("unknown batch in transit");
-            let comm = b.comm_time(&self.exec);
-            self.step.trace.comm(self.clock, self.clock + comm, batch, stage);
-            self.events
-                .push(self.clock + comm, Event::BatchReady { batch, stage: stage + 1 });
-        } else {
-            self.complete_batch(batch);
-        }
-        // Stage 0 freeing (or a completion) may unblock the scheduler.
-        if stage == 0 {
-            self.try_schedule();
-        }
-    }
-
-    fn start_stage(&mut self, batch: u64, stage: usize, t: f64) {
-        let (dur, gpus) = {
-            let b = self.batches.get_mut(&batch).expect("unknown batch started");
-            let slow = self.cfg.stage_slowdown.get(stage).copied().unwrap_or(1.0);
-            let dur = b.stage_duration(&self.exec, &self.runtime, stage, slow);
-            (dur, self.exec.busy_gpus(stage))
-        };
-        self.stage_busy[stage] = Some(batch);
-        if self.cfg.record_utilization {
-            for g in gpus {
-                self.busy.record(g, t, t + dur);
-            }
-        }
-        self.step.trace.stage(t, t + dur, batch, stage);
-        self.events.push(t + dur, Event::StageDone { batch, stage });
-    }
-
-    fn complete_batch(&mut self, batch: u64) {
-        self.batches.remove(&batch);
-        let outcome = self.step.complete(self.clock, batch).expect("unknown batch completed");
-        for e in &outcome.emitted {
-            self.recorder.on_token(e.seq, self.clock);
-        }
-        for &(id, _) in &outcome.finished {
-            self.recorder.on_finish(id, self.clock);
-        }
-        self.try_schedule();
-    }
-
-    /// Schedule micro-batches while stage 0 is free and pipeline slots
-    /// remain — the paper's driver-worker loop.
-    fn try_schedule(&mut self) {
-        while !self.step.is_full()
-            && self.stage_busy[0].is_none()
-            && self.stage_queue[0].is_empty()
-        {
-            let proposal = self.step.propose(self.policy);
-            let (now, record_tokens) = (self.clock, self.cfg.record_token_trace);
-            let token_trace = &mut self.token_trace;
-            let scheduled = self.step.schedule(proposal, &mut self.recorder, now, |_, plan, _, _| {
-                Ok::<_, Infallible>(InFlightBatch::new(plan, record_tokens.then_some(token_trace)))
-            });
-            match scheduled {
-                Scheduled::Batch { id, prepared } => {
-                    self.batches.insert(id, prepared);
-                    self.start_stage(id, 0, self.clock + self.runtime.sched_overhead_s);
+    fn on_event(&mut self, ev: Event) {
+        let sim = &mut self.sim;
+        match ev {
+            Event::Arrival { trace_index } => {
+                let r = &self.trace.requests[trace_index];
+                sim.recorder.on_arrival(r.id, sim.clock, r.prompt_len);
+                // A request whose full context can never fit is rejected
+                // up front (a real engine would return an error to the
+                // client).
+                if !self.pipe.step.arrive(r.id, r.prompt_len, r.output_len) {
+                    self.aborted += 1;
+                    return;
                 }
-                Scheduled::Unstalled => {}
-                Scheduled::Idle => return,
-                Scheduled::Rejected(never) => match never {},
+                self.pipe.schedule(sim);
             }
+            Event::BatchReady { batch, stage, .. } => self.pipe.accept(sim, batch, stage),
+            Event::StageDone { batch, stage, .. } => {
+                self.pipe.finish_stage(sim, batch, stage, |sim, _, outcome| {
+                    for &(id, _) in &outcome.finished {
+                        sim.recorder.on_finish(id, sim.clock);
+                    }
+                });
+            }
+            Event::TransferDone { .. } => unreachable!("no KV transfer in a unified pipeline"),
         }
-    }
-}
-
-/// Convert a committed plan into the cost model's batch description.
-fn to_workload(plan: &BatchPlan) -> BatchWorkload {
-    BatchWorkload {
-        prefill: plan
-            .prefill
-            .iter()
-            .map(|c| SequenceChunk::prefill(c.tokens.get(), c.context_before.get()))
-            .collect(),
-        decode: plan
-            .decode
-            .iter()
-            .map(|d| SequenceChunk::decode(d.context_before.get()))
-            .collect(),
     }
 }
 
@@ -482,7 +270,7 @@ mod tests {
     use super::*;
     use gllm_core::sarathi::SarathiServe;
     use gllm_core::throttle::TokenThrottle;
-    use gllm_core::ScheduleView;
+    use gllm_core::{BatchPlan, ScheduleView};
     use gllm_metrics::ServingReport;
     use gllm_model::{ClusterSpec, GpuSpec, ModelConfig};
     use gllm_workload::{ArrivalProcess, Dataset};
@@ -558,20 +346,13 @@ mod tests {
             &cfg,
         );
         // Run manually so we can inspect the KV afterwards.
-        for (i, r) in trace.requests.iter().enumerate() {
-            engine.events.push(r.arrival_s, Event::Arrival { trace_index: i });
+        while let Some(ev) = engine.sim.next_event() {
+            engine.on_event(ev);
         }
-        while let Some((t, ev)) = engine.events.pop() {
-            engine.clock = t;
-            match ev {
-                Event::Arrival { trace_index } => engine.on_arrival(trace_index),
-                Event::BatchReady { batch, stage } => engine.on_batch_ready(batch, stage),
-                Event::StageDone { batch, stage } => engine.on_stage_done(batch, stage),
-            }
-        }
-        assert!(!engine.step.pool.has_work());
-        assert_eq!(engine.step.kv.free_rate(), 1.0, "KV leaked");
-        assert_eq!(engine.step.in_flight(), 0);
+        let step = &engine.pipe.step;
+        assert!(!step.pool.has_work());
+        assert_eq!(step.kv.free_rate(), 1.0, "KV leaked");
+        assert_eq!(step.in_flight(), 0);
     }
 
     #[test]

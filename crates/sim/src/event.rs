@@ -7,7 +7,9 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Events the serving simulation processes.
+/// Events the serving simulation processes. Stage events name the
+/// pipeline they belong to: the unified engine runs pipeline 0, the
+/// disaggregated simulator a prefill (0) and a decode (1) pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// Request `trace_index` arrives.
@@ -15,71 +17,73 @@ pub enum Event {
         /// Index into the trace's request list.
         trace_index: usize,
     },
-    /// Micro-batch `batch` finished executing on `stage`.
+    /// Micro-batch `batch` finished executing on `stage` of `pipe`.
     StageDone {
+        /// Pipeline index.
+        pipe: u8,
         /// Batch id.
         batch: u64,
         /// Pipeline stage index.
         stage: usize,
     },
-    /// Micro-batch `batch`'s activations arrived at `stage` (post-comm).
+    /// Micro-batch `batch`'s activations arrived at `stage` of `pipe`
+    /// (post-comm).
     BatchReady {
+        /// Pipeline index.
+        pipe: u8,
         /// Batch id.
         batch: u64,
         /// Pipeline stage index.
         stage: usize,
+    },
+    /// Sequence `seq`'s prompt KV arrived at the decode pipeline of a
+    /// disaggregated deployment.
+    TransferDone {
+        /// Request id.
+        seq: u64,
     },
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Entry<E> {
+struct Entry {
     time: f64,
     seq: u64,
-    event: E,
+    event: Event,
 }
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.time.total_cmp(&other.time) == Ordering::Equal && self.seq == other.seq
     }
 }
-impl<E> Eq for Entry<E> {}
+impl Eq for Entry {}
 
-impl<E> Ord for Entry<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for a min-heap on (time, seq). `total_cmp` is a total
         // order, so the hottest comparator in the simulator has no panic
         // path; push() guarantees times are finite, non-negative and
         // normalised (no -0.0), which makes total_cmp agree with the
         // numeric order.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.time.total_cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Min-heap of events ordered by `(time, insertion order)`. Generic over
-/// the event payload so the unified and disaggregated engines each bring
-/// their own event vocabulary.
-#[derive(Debug)]
-pub struct EventQueue<E = Event> {
-    heap: BinaryHeap<Entry<E>>,
+/// Min-heap of events ordered by `(time, insertion order)`: events at
+/// one time pop in the order they were pushed, so moving a `push`
+/// reorders the simulation.
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Entry>,
     next_seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-}
-
-impl<E> EventQueue<E> {
+impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
@@ -91,13 +95,8 @@ impl<E> EventQueue<E> {
         Self { heap: BinaryHeap::with_capacity(capacity), next_seq: 0 }
     }
 
-    /// Reserve room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Schedule `event` at absolute time `time`.
-    pub fn push(&mut self, time: f64, event: E) {
+    pub fn push(&mut self, time: f64, event: Event) {
         assert!(time.is_finite() && time >= 0.0, "bad event time {time}");
         // Normalise -0.0 so Ord (total_cmp) and the numeric order agree on
         // every admitted time.
@@ -108,7 +107,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
+    pub fn pop(&mut self) -> Option<(f64, Event)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
@@ -175,10 +174,9 @@ mod tests {
 
     #[test]
     fn with_capacity_behaves_like_new() {
-        let mut q: EventQueue = EventQueue::with_capacity(16);
+        let mut q = EventQueue::with_capacity(16);
         q.push(2.0, Event::Arrival { trace_index: 2 });
         q.push(1.0, Event::Arrival { trace_index: 1 });
-        q.reserve(100);
         assert_eq!(q.pop().map(|(t, _)| t), Some(1.0));
         assert_eq!(q.pop().map(|(t, _)| t), Some(2.0));
     }
@@ -187,7 +185,7 @@ mod tests {
     fn len_and_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(0.0, Event::StageDone { batch: 1, stage: 0 });
+        q.push(0.0, Event::StageDone { pipe: 0, batch: 1, stage: 0 });
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());

@@ -14,8 +14,13 @@
 //! * [`runtime_model`] — CPU-overhead model distinguishing vLLM's coupled
 //!   metadata/activation runtime from gLLM's asynchronous overlapped one
 //!   (§3.3–3.4),
-//! * [`engine`] — the event loop: stages, micro-batches, comm delays,
-//!   preemption, token emission,
+//! * `pipeline` — one group of stages fed by one scheduling step: stage
+//!   occupancy and queues, activation hops, the schedule loop, token
+//!   emission; shared by the unified and disaggregated planes,
+//! * [`engine`] — the unified event loop: one pipeline fed by the trace's
+//!   arrivals,
+//! * [`disagg`] — prefill/decode disaggregation: two pipelines joined by
+//!   a KV transfer,
 //! * [`systems`] — presets for every system in the paper's evaluation
 //!   (gLLM, vLLM, SGLang, the ablation variants),
 //! * [`experiment`] — one-call experiment driver producing a
@@ -30,6 +35,7 @@ pub mod disagg;
 pub mod engine;
 pub mod event;
 pub mod experiment;
+mod pipeline;
 pub mod runtime_model;
 pub mod sweep;
 pub mod systems;
