@@ -35,7 +35,7 @@
 //! slow down as requests accumulate.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use gllm_core::{BatchPlan, Blocks, SeqSlot, Tokens};
 use serde::Serialize;
@@ -177,16 +177,15 @@ pub struct InvariantAuditor {
     batches_requeued: u64,
     requests_failed: u64,
 
-    /// Arrival index per request id, in submission order. Ordered maps
+    /// Each live request's arrival index and whether its first prefill
+    /// chunk was scheduled. A request's entry leaves with it (finish,
+    /// rejection or failure), so memory follows the live requests, and an
+    /// id that arrives again afterwards is a new request. Ordered maps
     /// keep violation details deterministic across runs (sim-determinism).
-    arrival_idx: BTreeMap<u64, usize>,
+    live: BTreeMap<u64, (usize, bool)>,
     next_arrival: usize,
-    /// Requests that have received their first prefill chunk.
-    started: BTreeSet<u64>,
-    /// Requests that finished or were rejected (exempt from FCFS checks).
-    gone: BTreeSet<u64>,
-    /// Arrivals that have neither started nor left, keyed by arrival
-    /// index: exactly the requests a first chunk could skip.
+    /// Live arrivals that have not started, keyed by arrival index:
+    /// exactly the requests a first chunk could skip.
     unstarted: BTreeMap<usize, u64>,
     /// Committed KV tokens of each sequence holding cache, with its id, by
     /// pool slot; `None` marks a slot holding none.
@@ -214,10 +213,8 @@ impl InvariantAuditor {
             recoveries: 0,
             batches_requeued: 0,
             requests_failed: 0,
-            arrival_idx: BTreeMap::new(),
+            live: BTreeMap::new(),
             next_arrival: 0,
-            started: BTreeSet::new(),
-            gone: BTreeSet::new(),
             unstarted: BTreeMap::new(),
             ctx: Vec::new(),
             live_kv: 0,
@@ -226,15 +223,14 @@ impl InvariantAuditor {
         }
     }
 
-    /// A request entered the system (records FCFS arrival order).
+    /// A request entered the system (records FCFS arrival order). An id
+    /// that is still live keeps its place.
     pub fn on_arrival(&mut self, seq: u64) {
-        if let Entry::Vacant(e) = self.arrival_idx.entry(seq) {
+        if let Entry::Vacant(e) = self.live.entry(seq) {
             let idx = self.next_arrival;
             self.next_arrival += 1;
-            e.insert(idx);
-            if !self.started.contains(&seq) && !self.gone.contains(&seq) {
-                self.unstarted.insert(idx, seq);
-            }
+            e.insert((idx, false));
+            self.unstarted.insert(idx, seq);
         }
     }
 
@@ -385,11 +381,11 @@ impl InvariantAuditor {
         }
     }
 
-    /// `seq` finished or was rejected: it leaves the FCFS universe.
+    /// `seq` finished or was rejected: it leaves the FCFS universe, and
+    /// the auditor forgets it.
     fn leave(&mut self, seq: u64) {
-        self.gone.insert(seq);
-        if let Some(idx) = self.arrival_idx.get(&seq) {
-            self.unstarted.remove(idx);
+        if let Some((idx, _)) = self.live.remove(&seq) {
+            self.unstarted.remove(&idx);
         }
     }
 
@@ -557,10 +553,10 @@ impl InvariantAuditor {
     fn check_fcfs(&mut self, t_s: f64, batch: u64, committed: &BatchPlan) {
         let mut prev_idx: Option<usize> = None;
         for c in &committed.prefill {
-            let Some(&idx) = self.arrival_idx.get(&c.seq) else {
-                self.started.insert(c.seq);
+            let Some((idx, started)) = self.live.get_mut(&c.seq) else {
                 continue;
             };
+            let (idx, first) = (*idx, !std::mem::replace(started, true));
             if let Some(p) = prev_idx {
                 if idx < p {
                     self.violate(
@@ -572,7 +568,7 @@ impl InvariantAuditor {
                 }
             }
             prev_idx = Some(idx);
-            if self.started.insert(c.seq) {
+            if first {
                 // First-ever chunk: every earlier arrival must have started
                 // or left the system, i.e. none may still be unstarted.
                 self.unstarted.remove(&idx);
@@ -608,6 +604,12 @@ impl InvariantAuditor {
 
     fn violate(&mut self, t_s: f64, batch: Option<u64>, invariant: Invariant, detail: String) {
         self.violations.push(Violation { t_s, batch, invariant, detail });
+    }
+
+    /// Requests whose FCFS state the auditor holds.
+    #[cfg(test)]
+    pub(crate) fn tracked_requests(&self) -> usize {
+        self.live.len()
     }
 
     /// Violations recorded so far.
@@ -676,6 +678,8 @@ impl InvariantAuditor {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use gllm_core::{BatchPlan, DecodeSlot, PrefillChunk, SeqSlot};
     use proptest::prelude::*;
@@ -831,6 +835,25 @@ mod tests {
     }
 
     #[test]
+    fn a_departed_id_that_arrives_again_is_a_new_request() {
+        let mut a = auditor(64, 16, 4);
+        a.on_arrival(1);
+        let p1 = BatchPlan { prefill: vec![chunk(1, 8, 0, true)], decode: vec![] };
+        a.on_schedule(0.0, 0, &p1, &p1, None, obs(64, 0), obs(63, 1));
+        a.on_complete(0.1, 0, &fin(&[1]), obs(64, 0));
+        assert_eq!(a.tracked_requests(), 0, "a finished request is forgotten");
+        a.on_arrival(2);
+        a.on_arrival(1); // the id returns, behind seq 2
+        let p1 = BatchPlan { prefill: vec![chunk(1, 8, 0, true)], decode: vec![] };
+        a.on_schedule(0.2, 1, &p1, &p1, None, obs(64, 0), obs(63, 1));
+        assert!(
+            a.violations().iter().any(|v| v.invariant == Invariant::FcfsAdmission),
+            "the returning id started ahead of an earlier arrival: {:?}",
+            a.violations()
+        );
+    }
+
+    #[test]
     fn kv_mismatch_is_reported() {
         let mut a = auditor(8, 16, 2);
         a.on_arrival(1);
@@ -963,11 +986,12 @@ mod tests {
         }
 
         fn on_arrival(&mut self, seq: u64) {
-            self.arrival_idx.entry(seq).or_insert_with(|| {
-                let i = self.next_arrival;
+            // An id that arrives again after leaving is a new request.
+            if self.gone.remove(&seq) || !self.arrival_idx.contains_key(&seq) {
+                self.arrival_idx.insert(seq, self.next_arrival);
                 self.next_arrival += 1;
-                i
-            });
+                self.started.remove(&seq);
+            }
         }
 
         fn on_request_failed(&mut self, t_s: f64, seq: u64) {
@@ -1078,7 +1102,10 @@ mod tests {
         fn check_fcfs(&mut self, t_s: f64, batch: u64, committed: &BatchPlan) {
             let mut prev_idx: Option<usize> = None;
             for c in &committed.prefill {
-                let Some(&idx) = self.arrival_idx.get(&c.seq) else { continue };
+                // Only live requests are checked.
+                let Some(&idx) = self.arrival_idx.get(&c.seq).filter(|_| !self.gone.contains(&c.seq)) else {
+                    continue;
+                };
                 if prev_idx.is_some_and(|p| idx < p) {
                     let detail = format!("prefill chunks out of arrival order (seq {} after a later arrival)", c.seq);
                     self.base.violate(t_s, Some(batch), Invariant::FcfsAdmission, detail);

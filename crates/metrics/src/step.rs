@@ -503,6 +503,29 @@ mod tests {
     }
 
     #[test]
+    fn the_auditor_tracks_only_live_requests_in_a_long_closed_loop() {
+        // 2 000 requests, 8 live at a time, through an audited step: the
+        // auditor's FCFS state follows the live requests, not the history.
+        let (mut step, mut rec) = (step(64), MetricsRecorder::new());
+        let policy = Greedy { chunk: 64 };
+        let (mut next, mut finished) = (0u64, 0usize);
+        while finished < 2_000 {
+            while step.pool.unfinished_count() < 8 {
+                assert!(arrive(&mut step, &mut rec, next, 6, 3));
+                next += 1;
+            }
+            let Scheduled::Batch { id, .. } = schedule(&mut step, &mut rec, &policy) else {
+                panic!("live requests must schedule");
+            };
+            finished += step.complete(0.0, id).expect("in flight").finished.len();
+            let live = step.pool.unfinished_count();
+            let tracked = step.auditor.as_ref().expect("auditing on").tracked_requests();
+            assert!(tracked <= live, "auditor tracks {tracked} requests with {live} live");
+        }
+        assert_clean(step);
+    }
+
+    #[test]
     fn a_live_id_is_refused_without_touching_the_live_request() {
         let (mut step, mut rec) = (step(8), MetricsRecorder::new());
         assert!(arrive(&mut step, &mut rec, 1, 8, 2));
