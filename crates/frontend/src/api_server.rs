@@ -270,49 +270,30 @@ fn handle_chat(stream: &mut TcpStream, req: &Request, shared: &Shared) {
     let Some((id, rx)) = submit(stream, shared, prompt_tokens, parsed.max_tokens, params) else {
         return;
     };
-    let mut tokens = Vec::new();
-    let result = loop {
-        match rx.recv_timeout(Duration::from_secs(120)) {
-            Ok(StreamEvent::Token { token, finished, .. }) => {
-                tokens.push(token);
-                if finished {
-                    break Ok(());
-                }
-            }
-            Ok(StreamEvent::Rejected { .. }) => break Err("request exceeds KV capacity"),
-            Ok(StreamEvent::Failed { .. }) => {
-                break Err("request failed; the runtime exhausted its recovery budget")
-            }
-            Err(_) => break Err("generation timed out"),
-        }
-    };
+    let tokens = collect_tokens(stream, &rx);
     shared.routes().remove(&id);
-    match result {
-        Ok(()) => {
-            let resp = ChatCompletionResponse {
-                id: format!("chatcmpl-{id}"),
-                object: "chat.completion".into(),
-                model: shared.model_name.clone(),
-                choices: vec![ChatChoice {
-                    message: ChatMessage {
-                        role: "assistant".into(),
-                        content: shared.tokenizer.decode(&tokens),
-                    },
-                    index: 0,
-                    finish_reason: Some("length".into()),
-                }],
-                usage: Usage {
-                    prompt_tokens: prompt_len,
-                    completion_tokens: tokens.len(),
-                    total_tokens: prompt_len + tokens.len(),
-                },
-            };
-            let _ = respond_json(stream, 200, &resp);
-        }
-        Err(msg) => {
-            let _ = respond_error(stream, 500, "server_error", msg);
-        }
-    }
+    let Some(tokens) = tokens else {
+        return;
+    };
+    let resp = ChatCompletionResponse {
+        id: format!("chatcmpl-{id}"),
+        object: "chat.completion".into(),
+        model: shared.model_name.clone(),
+        choices: vec![ChatChoice {
+            message: ChatMessage {
+                role: "assistant".into(),
+                content: shared.tokenizer.decode(&tokens),
+            },
+            index: 0,
+            finish_reason: Some("length".into()),
+        }],
+        usage: Usage {
+            prompt_tokens: prompt_len,
+            completion_tokens: tokens.len(),
+            total_tokens: prompt_len + tokens.len(),
+        },
+    };
+    let _ = respond_json(stream, 200, &resp);
 }
 
 fn handle_completion(stream: &mut TcpStream, req: &Request, shared: &Shared) {
@@ -356,28 +337,9 @@ fn blocking_completion(
     prompt_len: usize,
     rx: &Receiver<StreamEvent>,
 ) -> std::io::Result<()> {
-    let mut tokens = Vec::new();
-    loop {
-        match rx.recv_timeout(Duration::from_secs(120)) {
-            Ok(StreamEvent::Token { token, finished, .. }) => {
-                tokens.push(token);
-                if finished {
-                    break;
-                }
-            }
-            Ok(StreamEvent::Rejected { .. }) => {
-                let msg = "request exceeds the KV cache capacity";
-                return respond_error(stream, 400, "invalid_request_error", msg);
-            }
-            Ok(StreamEvent::Failed { .. }) => {
-                // Partial tokens (if any) are discarded with the buffer:
-                // a Failed event voids everything streamed before it.
-                let msg = "request failed; the runtime exhausted its recovery budget";
-                return respond_error(stream, 500, "server_error", msg);
-            }
-            Err(_) => return respond_error(stream, 500, "server_error", "generation timed out"),
-        }
-    }
+    let Some(tokens) = collect_tokens(stream, rx) else {
+        return Ok(());
+    };
     let resp = CompletionResponse {
         id: format!("cmpl-{id}"),
         object: "text_completion".into(),
@@ -394,6 +356,34 @@ fn blocking_completion(
         }),
     };
     respond_json(stream, 200, &resp)
+}
+
+/// Collect a request's tokens until it finishes. When it ends otherwise,
+/// answer the error instead — 400 for a KV rejection, 500 for a failure
+/// or a timeout — and return `None`. Partial tokens are discarded: a
+/// Failed event voids everything streamed before it.
+fn collect_tokens(stream: &mut TcpStream, rx: &Receiver<StreamEvent>) -> Option<Vec<u32>> {
+    let mut tokens = Vec::new();
+    let (status, kind, msg) = loop {
+        match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(StreamEvent::Token { token, finished, .. }) => {
+                tokens.push(token);
+                if finished {
+                    return Some(tokens);
+                }
+            }
+            Ok(StreamEvent::Rejected { .. }) => {
+                break (400, "invalid_request_error", "request exceeds the KV cache capacity")
+            }
+            Ok(StreamEvent::Failed { .. }) => {
+                let msg = "request failed; the runtime exhausted its recovery budget";
+                break (500, "server_error", msg);
+            }
+            Err(_) => break (500, "server_error", "generation timed out"),
+        }
+    };
+    let _ = respond_error(stream, status, kind, msg);
+    None
 }
 
 fn stream_completion(
@@ -546,7 +536,8 @@ mod tests {
         let wrong_method = roundtrip(addr, "GET /v1/completions HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(wrong_method.starts_with("HTTP/1.1 405"));
         // A huge max_tokens once pre-sized the handlers' token buffers and
-        // aborted the process; now it is an error and the server stays up.
+        // aborted the process; now both endpoints refuse it as a KV
+        // rejection and the server stays up.
         for (path, body) in [
             ("/v1/completions", r#"{"prompt":"hi","max_tokens":100000000000}"#),
             (
@@ -555,8 +546,8 @@ mod tests {
             ),
         ] {
             let resp = post(addr, path, body);
-            assert!(!resp.starts_with("HTTP/1.1 200"), "{path}: {resp}");
-            assert!(json_body(&resp)["error"]["message"].as_str().is_some(), "{path}: {resp}");
+            assert!(resp.starts_with("HTTP/1.1 400"), "{path}: {resp}");
+            assert!(json_body(&resp)["error"]["type"] == "invalid_request_error", "{path}: {resp}");
         }
         let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 200"), "{health}");
