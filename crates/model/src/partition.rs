@@ -8,6 +8,8 @@
 //! derives the cluster-wide KV token capacity — the minimum over stages,
 //! since the paper's design shares one unified page table across all GPUs.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::comm::LinkSpec;
@@ -48,6 +50,18 @@ impl PipelinePartition {
     #[inline]
     pub fn layers_of(&self, s: usize) -> usize {
         self.stage_layers[s]
+    }
+
+    /// The absolute layer range of each stage, in pipeline order.
+    pub fn layer_ranges(&self) -> Vec<Range<usize>> {
+        let mut start = 0;
+        self.stage_layers
+            .iter()
+            .map(|&n| {
+                start += n;
+                start - n..start
+            })
+            .collect()
     }
 
     /// Total layers across all stages.
@@ -196,6 +210,7 @@ mod tests {
         assert_eq!(p.stage_layers, vec![3, 3, 2, 2]);
         assert_eq!(p.total_layers(), 10);
         assert_eq!(p.depth(), 4);
+        assert_eq!(p.layer_ranges(), vec![0..3, 3..6, 6..8, 8..10]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Duration;
 use gllm_core::SchedulePolicy;
 use gllm_kvcache::{Blocks, KvCacheManager, Tokens};
 use gllm_metrics::{AuditSnapshot, MetricsRecorder};
-use gllm_model::ModelConfig;
+use gllm_model::{ModelConfig, PipelinePartition};
 use gllm_transformer::StageModel;
 
 use crate::driver::{run_driver, DriverOutput, DriverParams};
@@ -240,17 +240,7 @@ impl Server {
         }
         let kv_slots = cfg.kv_blocks * cfg.block_size;
 
-        // Even layer partition, remainder to early stages.
-        let layers = cfg.model.num_layers;
-        let per = layers / cfg.num_stages;
-        let extra = layers % cfg.num_stages;
-        let mut ranges = Vec::with_capacity(cfg.num_stages);
-        let mut start = 0;
-        for s in 0..cfg.num_stages {
-            let len = per + usize::from(s < extra);
-            ranges.push(start..start + len);
-            start += len;
-        }
+        let ranges = PipelinePartition::even(cfg.model.num_layers, cfg.num_stages).layer_ranges();
 
         let (req_tx, inbox) = channel();
         let (stream_tx, stream_rx) = channel();
@@ -260,8 +250,6 @@ impl Server {
             ranges.first().cloned().unwrap_or(0..0),
             kv_slots,
             cfg.seed,
-            true,
-            cfg.num_stages == 1,
         );
         let injector = FaultInjector::new(&cfg.fault_plan);
         let spawner = StageSpawner::new(

@@ -128,14 +128,7 @@ impl StageSpawner {
                 next_act_rx = Some(rx);
                 StageOutput::Next(tx)
             };
-            let stage = StageModel::new(
-                self.model.clone(),
-                range.clone(),
-                self.kv_slots,
-                self.seed,
-                false,
-                is_last,
-            );
+            let stage = StageModel::new(self.model.clone(), range.clone(), self.kv_slots, self.seed);
             let injector = self.injector.clone();
             let exit = ExitNotice(self.inbox.clone());
             handles.push(std::thread::spawn(move || {

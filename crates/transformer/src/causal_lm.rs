@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 
 use gllm_kvcache::{Blocks, KvCacheManager, KvError, SeqSlot, Tokens};
-use gllm_model::ModelConfig;
+use gllm_model::{ModelConfig, PipelinePartition};
 
 use crate::model::{BatchChunk, StageModel};
 use crate::sampler::{sample, SamplingParams};
@@ -66,24 +66,12 @@ impl CausalLM {
         block_size: usize,
         seed: u64,
     ) -> Self {
-        assert!(num_stages >= 1 && num_stages <= cfg.num_layers);
         let kv_slots = kv_blocks * block_size;
-        let per = cfg.num_layers / num_stages;
-        let extra = cfg.num_layers % num_stages;
-        let mut stages = Vec::with_capacity(num_stages);
-        let mut start = 0;
-        for s in 0..num_stages {
-            let len = per + usize::from(s < extra);
-            stages.push(StageModel::new(
-                cfg.clone(),
-                start..start + len,
-                kv_slots,
-                seed,
-                s == 0,
-                s + 1 == num_stages,
-            ));
-            start += len;
-        }
+        let stages = PipelinePartition::even(cfg.num_layers, num_stages)
+            .layer_ranges()
+            .into_iter()
+            .map(|range| StageModel::new(cfg.clone(), range, kv_slots, seed))
+            .collect();
         Self {
             cfg: cfg.clone(),
             stages,

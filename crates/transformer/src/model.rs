@@ -65,16 +65,12 @@ impl StageModel {
     /// Build the stage holding `layer_range` of `cfg`, with KV capacity
     /// `kv_slots` tokens. Weights derive from `seed` per absolute layer
     /// index, so any partitioning of the same `(cfg, seed)` pair is the
-    /// same model. `is_first`/`is_last` attach the embedding / LM head.
-    pub fn new(
-        cfg: ModelConfig,
-        layer_range: Range<usize>,
-        kv_slots: usize,
-        seed: u64,
-        is_first: bool,
-        is_last: bool,
-    ) -> Self {
+    /// same model. The first stage (from layer 0) holds the embedding,
+    /// the last (up to `cfg.num_layers`) the LM head.
+    pub fn new(cfg: ModelConfig, layer_range: Range<usize>, kv_slots: usize, seed: u64) -> Self {
         assert!(layer_range.end <= cfg.num_layers);
+        let is_first = layer_range.start == 0;
+        let is_last = layer_range.end == cfg.num_layers;
         let layers = layer_range.clone().map(|l| gen_layer(&cfg, seed, l)).collect();
         Self {
             embedding: is_first.then(|| gen_embedding(&cfg, seed)),
@@ -325,7 +321,7 @@ mod tests {
 
     fn tiny_stage(kv_slots: usize) -> StageModel {
         let cfg = ModelConfig::tiny();
-        StageModel::new(cfg.clone(), 0..cfg.num_layers, kv_slots, 7, true, true)
+        StageModel::new(cfg.clone(), 0..cfg.num_layers, kv_slots, 7)
     }
 
     fn run_prompt(stage: &mut StageModel, kvm: &mut KvCacheManager, seq: u64, prompt: &[u32]) -> Vec<f32> {
@@ -423,8 +419,8 @@ mod tests {
         let mut whole = tiny_stage(128);
         let expected = run_prompt(&mut whole, &mut kvm, 1, &prompt);
         // Two stages: layers 0..2 and 2..4.
-        let mut s0 = StageModel::new(cfg.clone(), 0..2, 128, 7, true, false);
-        let mut s1 = StageModel::new(cfg.clone(), 2..4, 128, 7, false, true);
+        let mut s0 = StageModel::new(cfg.clone(), 0..2, 128, 7);
+        let mut s1 = StageModel::new(cfg.clone(), 2..4, 128, 7);
         let mut kvm2 = KvCacheManager::new(Blocks(32), Tokens(4));
         kvm2.append(slot(1), 1, Tokens(prompt.len())).unwrap();
         let chunk = BatchChunk { seq: 1, start_pos: 0, tokens: prompt.clone(), sample: true };
