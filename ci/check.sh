@@ -24,6 +24,20 @@ cargo clippy --all-targets -- -D warnings
 # pipeline stages, which is slow unoptimized.
 cargo test -q --release -p gllm-runtime --test chaos
 
+# Stage 1.7: the benchmark's view of the crates. perfbench/ is its own
+# workspace and names the sim, runtime, transformer and frontend APIs, so
+# an API break would otherwise show only when the benchmark runs. Building
+# it rewrites perfbench/Cargo.lock, which is one of the benchmark's files:
+# the lock is saved first and restored whether or not the check passes.
+lock_backup=$(mktemp)
+cp perfbench/Cargo.lock "$lock_backup"
+perfbench_status=0
+cargo check --release --offline --all-targets --manifest-path perfbench/Cargo.toml \
+  || perfbench_status=$?
+cp "$lock_backup" perfbench/Cargo.lock
+rm -f "$lock_backup"
+[ "$perfbench_status" -eq 0 ]
+
 # Stage 2: perf self-benchmark. Times every figure family's sweep serial
 # vs parallel over repeats, writes their median and quartiles to
 # BENCH_sweep.json at the repo root, and exits nonzero if the parallel
