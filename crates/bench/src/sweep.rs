@@ -55,8 +55,8 @@ pub fn sweep_rates(
 }
 
 /// [`sweep_rates`] under an explicit engine config. The perf harness uses
-/// this to time the same sweep with the hot-path optimizations switched
-/// off; figure binaries should call [`sweep_rates`].
+/// this to time the sweeps with the auditor off as well as the recorders;
+/// figure binaries should call [`sweep_rates`].
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_rates_with_cfg(
     systems: &[SystemConfig],

@@ -11,13 +11,13 @@
 //! `abl_disaggregation` bench quantifies exactly that sensitivity against
 //! unified gLLM.
 //!
-//! Implementation: two [`Pipeline`]s — the same stage machinery the
-//! unified engine drives — sharing one deterministic event queue, plus the
-//! KV transfer between them. The prefill side runs Sarathi-style pure-prefill batching (there
-//! are never decodes there); the decode side runs gLLM's Eq. 4 decode
-//! spreading (DistServe's decode instances also batch aggressively).
-//! Decode-side preemptions recompute on the decode cluster, as real
-//! disaggregated systems do when the decode side runs out of KV.
+//! Implementation: two `Pipeline`s — the same stage machinery the unified
+//! engine drives — sharing one deterministic event queue, plus the KV
+//! transfer between them. The prefill side runs Sarathi-style pure-prefill
+//! batching (there are never decodes there); the decode side runs gLLM's
+//! Eq. 4 decode spreading (DistServe's decode instances also batch
+//! aggressively). Decode-side preemptions recompute on the decode cluster,
+//! as real disaggregated systems do when the decode side runs out of KV.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -105,8 +105,11 @@ pub fn simulate_disaggregated(
 
     // Request book-keeping: (prompt_len, max_output) by id, and the KV
     // transfer cost between the clusters.
-    let req_info: BTreeMap<u64, (usize, usize)> =
-        trace.requests.iter().map(|r| (r.id, (r.prompt_len, r.output_len))).collect();
+    let req_info: BTreeMap<u64, (usize, usize)> = trace
+        .requests
+        .iter()
+        .map(|r| (r.id, (r.prompt_len, r.output_len)))
+        .collect();
     let kv_bytes_per_token = model.kv_bytes_per_token();
     let mut pending_admits: VecDeque<u64> = VecDeque::new();
     let mut aborted = 0usize;

@@ -24,12 +24,12 @@ use crate::runtime_model::RuntimeModel;
 
 /// The state one simulation's pipelines share.
 pub(crate) struct Sim<'a> {
-    pub(crate) cfg: &'a EngineConfig,
+    cfg: &'a EngineConfig,
     pub(crate) clock: f64,
     pub(crate) events: EventQueue,
     pub(crate) recorder: MetricsRecorder,
-    pub(crate) token_trace: TokenTrace,
-    pub(crate) busy: BusyTracker,
+    token_trace: TokenTrace,
+    busy: BusyTracker,
 }
 
 impl<'a> Sim<'a> {
