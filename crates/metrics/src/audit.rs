@@ -177,15 +177,16 @@ pub struct InvariantAuditor {
     batches_requeued: u64,
     requests_failed: u64,
 
-    /// Each live request's arrival index and whether its first prefill
-    /// chunk was scheduled. A request's entry leaves with it (finish,
-    /// rejection or failure), so memory follows the live requests, and an
-    /// id that arrives again afterwards is a new request. Ordered maps
-    /// keep violation details deterministic across runs (sim-determinism).
-    live: BTreeMap<u64, (usize, bool)>,
+    /// Arrival index of each live request. A request's entry leaves with
+    /// it (finish, rejection or failure), so memory follows the live
+    /// requests, and an id that arrives again afterwards is a new request.
+    /// Ordered maps keep violation details deterministic across runs
+    /// (sim-determinism).
+    live: BTreeMap<u64, usize>,
     next_arrival: usize,
-    /// Live arrivals that have not started, keyed by arrival index:
-    /// exactly the requests a first chunk could skip.
+    /// Live arrivals that have not received their first prefill chunk,
+    /// keyed by arrival index: exactly the requests a first chunk could
+    /// skip.
     unstarted: BTreeMap<usize, u64>,
     /// Committed KV tokens of each sequence holding cache, with its id, by
     /// pool slot; `None` marks a slot holding none.
@@ -229,7 +230,7 @@ impl InvariantAuditor {
         if let Entry::Vacant(e) = self.live.entry(seq) {
             let idx = self.next_arrival;
             self.next_arrival += 1;
-            e.insert((idx, false));
+            e.insert(idx);
             self.unstarted.insert(idx, seq);
         }
     }
@@ -384,7 +385,7 @@ impl InvariantAuditor {
     /// `seq` finished or was rejected: it leaves the FCFS universe, and
     /// the auditor forgets it.
     fn leave(&mut self, seq: u64) {
-        if let Some((idx, _)) = self.live.remove(&seq) {
+        if let Some(idx) = self.live.remove(&seq) {
             self.unstarted.remove(&idx);
         }
     }
@@ -553,10 +554,9 @@ impl InvariantAuditor {
     fn check_fcfs(&mut self, t_s: f64, batch: u64, committed: &BatchPlan) {
         let mut prev_idx: Option<usize> = None;
         for c in &committed.prefill {
-            let Some((idx, started)) = self.live.get_mut(&c.seq) else {
+            let Some(&idx) = self.live.get(&c.seq) else {
                 continue;
             };
-            let (idx, first) = (*idx, !std::mem::replace(started, true));
             if let Some(p) = prev_idx {
                 if idx < p {
                     self.violate(
@@ -568,10 +568,9 @@ impl InvariantAuditor {
                 }
             }
             prev_idx = Some(idx);
-            if first {
+            if self.unstarted.remove(&idx).is_some() {
                 // First-ever chunk: every earlier arrival must have started
                 // or left the system, i.e. none may still be unstarted.
-                self.unstarted.remove(&idx);
                 let mut skipped: Vec<u64> = self.unstarted.range(..idx).map(|(_, &id)| id).collect();
                 if !skipped.is_empty() {
                     skipped.sort_unstable();
