@@ -122,8 +122,8 @@ impl Overloaded {
     }
 
     fn arrive(&mut self) {
-        self.rec.on_arrival(self.next_id, 0.0, Self::PROMPT);
-        assert!(self.step.arrive(self.next_id, Self::PROMPT, Self::OUTPUT), "a request fits");
+        let handle = self.rec.on_arrival(self.next_id, 0.0, Self::PROMPT);
+        assert!(self.step.arrive(self.next_id, Self::PROMPT, Self::OUTPUT, handle), "a request fits");
         self.next_id += 1;
     }
 

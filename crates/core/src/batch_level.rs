@@ -29,14 +29,14 @@ impl SchedulePolicy for BatchLevelPolicy {
         // no admission until the whole batch completes.
         let draining = view.total_decode_seqs > 0 || view.in_flight_seqs > 0;
         if draining {
-            let decode = take_decodes(&view.decodable, view.decodable.len());
+            let decode = take_decodes(view.decodable(), view.decodable_seqs());
             return BatchPlan { prefill: Vec::new(), decode };
         }
         // Admit a fresh batch of whole prompts, charging whole KV blocks.
         let bs = view.block_size;
         let mut blocks_left = view.kv_free_tokens.full_blocks(bs);
         let mut prefill = Vec::new();
-        for w in view.waiting.iter().take(self.batch_size) {
+        for w in view.waiting().take(self.batch_size) {
             let slack = w.context_before.to_blocks(bs).to_tokens(bs) - w.context_before;
             if w.remaining_prefill > slack + blocks_left.to_tokens(bs) {
                 break;
@@ -70,20 +70,8 @@ mod tests {
         decodable: usize,
         total_decode: usize,
         in_flight: usize,
-    ) -> ScheduleView {
+    ) -> ScheduleView<'static> {
         ScheduleView {
-            waiting: waiting
-                .iter()
-                .map(|&(seq, rem)| WaitingSeq {
-                    seq,
-                    slot: SeqSlot::default(),
-                    remaining_prefill: Tokens(rem),
-                    context_before: Tokens(0),
-                })
-                .collect(),
-            decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
-                .collect(),
             total_decode_seqs: total_decode,
             kv_free_rate: 1.0,
             kv_free_tokens: Tokens(1_000_000),
@@ -91,6 +79,20 @@ mod tests {
             in_flight_seqs: in_flight,
             pipeline_depth: 1,
             max_seqs_per_batch: 1024,
+            ..ScheduleView::from_lists(
+                waiting
+                    .iter()
+                    .map(|&(seq, rem)| WaitingSeq {
+                        seq,
+                        slot: SeqSlot::default(),
+                        remaining_prefill: Tokens(rem),
+                        context_before: Tokens(0),
+                    })
+                    .collect(),
+                (0..decodable)
+                    .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
+                    .collect(),
+            )
         }
     }
 

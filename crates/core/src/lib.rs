@@ -4,8 +4,9 @@
 //! Scheduling in gLLM is *iteration-level* (Orca-style): before every model
 //! forward pass the scheduler composes a fresh micro-batch from the global
 //! request pool. This crate keeps policies **pure**: a policy is a function
-//! from an immutable [`policy::ScheduleView`] snapshot (waiting queue,
-//! decodable sequences, KV free rate, pipeline depth) to a
+//! from a [`policy::ScheduleView`] the pool lends it (the waiting queue and
+//! decodable sequences, walked in place, plus `#WP`, `#RD`, the KV free
+//! rate and the pipeline depth) to a
 //! [`plan::BatchPlan`] (which prefill chunks and decode steps to fuse into
 //! the next micro-batch). The discrete-event simulator and the threaded
 //! runtime both drive the *same* policy objects, so the scheduler being

@@ -28,8 +28,8 @@ impl Default for OrcaPolicy {
 impl SchedulePolicy for OrcaPolicy {
     fn plan(&self, view: &ScheduleView) -> BatchPlan {
         let decode = take_decodes(
-            &view.decodable,
-            view.decodable.len().min(view.max_seqs_per_batch),
+            view.decodable(),
+            view.decodable_seqs().min(view.max_seqs_per_batch),
         );
         let bs = view.block_size;
         let mut blocks_left =
@@ -39,7 +39,7 @@ impl SchedulePolicy for OrcaPolicy {
             .saturating_sub(decode.len())
             .min(self.max_new_prompts);
         let mut prefill = Vec::new();
-        for w in &view.waiting {
+        for w in view.waiting() {
             if seq_budget == 0 {
                 break;
             }
@@ -74,20 +74,8 @@ mod tests {
     use crate::policy::{DecodableSeq, WaitingSeq};
     use gllm_units::Tokens;
 
-    fn view(waiting: &[(u64, usize)], decodable: usize, kv_free_tokens: usize) -> ScheduleView {
+    fn view(waiting: &[(u64, usize)], decodable: usize, kv_free_tokens: usize) -> ScheduleView<'static> {
         ScheduleView {
-            waiting: waiting
-                .iter()
-                .map(|&(seq, rem)| WaitingSeq {
-                    seq,
-                    slot: SeqSlot::default(),
-                    remaining_prefill: Tokens(rem),
-                    context_before: Tokens(0),
-                })
-                .collect(),
-            decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
-                .collect(),
             total_decode_seqs: decodable,
             kv_free_rate: 1.0,
             kv_free_tokens: Tokens(kv_free_tokens),
@@ -95,6 +83,20 @@ mod tests {
             in_flight_seqs: 0,
             pipeline_depth: 4,
             max_seqs_per_batch: 1024,
+            ..ScheduleView::from_lists(
+                waiting
+                    .iter()
+                    .map(|&(seq, rem)| WaitingSeq {
+                        seq,
+                        slot: SeqSlot::default(),
+                        remaining_prefill: Tokens(rem),
+                        context_before: Tokens(0),
+                    })
+                    .collect(),
+                (0..decodable)
+                    .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
+                    .collect(),
+            )
         }
     }
 

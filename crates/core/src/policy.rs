@@ -1,10 +1,13 @@
-//! The scheduling-policy abstraction and its input snapshot.
+//! The scheduling-policy abstraction and the view it plans from.
 //!
 //! A policy sees a [`ScheduleView`] — the global information the paper's
 //! driver worker collects before each schedule (§3.1: "gLLM collects the
 //! number of tokens across all awaiting prefill requests" and "the KV cache
-//! free rate") — and returns a [`BatchPlan`]. Policies are pure and
-//! deterministic; all mutation happens in [`crate::pool::RequestPool`].
+//! free rate") — and returns a [`BatchPlan`]. The pool lends the view: its
+//! FCFS queues are walked in place, as far as a policy's budget reaches,
+//! and its totals are kept by the pool, so collecting the state costs what
+//! the batch takes, not what the queue holds (§3.4). Policies are pure and
+//! deterministic; all mutation happens in [`RequestPool`].
 //!
 //! Token and block quantities at this interface carry the `gllm-units`
 //! newtypes; the *only* sanctioned token↔block conversions are
@@ -13,6 +16,7 @@
 use gllm_units::{Blocks, Tokens};
 
 use crate::plan::{BatchPlan, DecodeSlot, PrefillChunk, SeqSlot};
+use crate::pool::{Cursor, RequestPool};
 
 /// A waiting (prefill-schedulable) sequence, FCFS order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,13 +42,21 @@ pub struct DecodableSeq {
     pub context_before: Tokens,
 }
 
-/// Immutable snapshot handed to a policy before each micro-batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleView {
-    /// Prefill-schedulable sequences in arrival order.
-    pub waiting: Vec<WaitingSeq>,
-    /// Decode-schedulable sequences in arrival order.
-    pub decodable: Vec<DecodableSeq>,
+/// What a policy sees before each micro-batch. A view lent by
+/// [`RequestPool::view`] walks the pool's two FCFS lists in place, so a
+/// policy that stops at its budget never reads the rest of the queue; the
+/// totals (`#WP`, `#RD` and the schedulable counts) are the ones the pool
+/// keeps on every transition. [`ScheduleView::from_lists`] builds a view of
+/// caller-made lists instead.
+#[derive(Debug, Clone)]
+pub struct ScheduleView<'a> {
+    pub(crate) queues: Queues<'a>,
+    /// Prefill-schedulable sequences.
+    pub(crate) waiting_seqs: usize,
+    /// Decode-schedulable sequences.
+    pub(crate) decodable_seqs: usize,
+    /// The paper's `#WP`.
+    pub(crate) waiting_tokens: Tokens,
     /// Total sequences in the decode phase, including those inside
     /// in-flight micro-batches — the paper's `#RD` (Eq. 4 counts *all*
     /// running decode tokens, distributed over `#PP_depth` batches).
@@ -65,10 +77,131 @@ pub struct ScheduleView {
     pub max_seqs_per_batch: usize,
 }
 
-impl ScheduleView {
+/// Where a view's sequences come from.
+#[derive(Debug, Clone)]
+pub(crate) enum Queues<'a> {
+    /// The pool's phase lists, walked in place.
+    Pool(&'a RequestPool),
+    /// Caller-made FCFS lists.
+    Lists(Vec<WaitingSeq>, Vec<DecodableSeq>),
+}
+
+impl ScheduleView<'static> {
+    /// A view of caller-made FCFS lists: `#WP` and the counts are theirs,
+    /// `#RD` is the decodable count, and nothing is in flight. The KV
+    /// cache and engine fields start empty (no free KV, free rate 0, unit
+    /// blocks, depth 1, no sequence cap); set the public fields to the
+    /// state under study.
+    pub fn from_lists(waiting: Vec<WaitingSeq>, decodable: Vec<DecodableSeq>) -> Self {
+        Self {
+            waiting_seqs: waiting.len(),
+            decodable_seqs: decodable.len(),
+            waiting_tokens: waiting.iter().map(|w| w.remaining_prefill).sum(),
+            total_decode_seqs: decodable.len(),
+            queues: Queues::Lists(waiting, decodable),
+            kv_free_rate: 0.0,
+            kv_free_tokens: Tokens::ZERO,
+            block_size: Tokens(1),
+            in_flight_seqs: 0,
+            pipeline_depth: 1,
+            max_seqs_per_batch: usize::MAX,
+        }
+    }
+}
+
+impl ScheduleView<'_> {
+    /// Prefill-schedulable sequences in arrival order.
+    pub fn waiting(&self) -> Waiting<'_> {
+        let lane = match &self.queues {
+            Queues::Pool(pool) => Lane::Pool(Cursor::waiting(pool), self.waiting_seqs),
+            Queues::Lists(waiting, _) => Lane::List(waiting.iter()),
+        };
+        Waiting(lane)
+    }
+
+    /// Decode-schedulable sequences in arrival order.
+    pub fn decodable(&self) -> Decodable<'_> {
+        let lane = match &self.queues {
+            Queues::Pool(pool) => Lane::Pool(Cursor::decoding(pool), self.decodable_seqs),
+            Queues::Lists(_, decodable) => Lane::List(decodable.iter()),
+        };
+        Decodable(lane)
+    }
+
+    /// How many sequences [`Self::waiting`] yields.
+    pub fn waiting_seqs(&self) -> usize {
+        self.waiting_seqs
+    }
+
+    /// How many sequences [`Self::decodable`] yields.
+    pub fn decodable_seqs(&self) -> usize {
+        self.decodable_seqs
+    }
+
     /// The paper's `#WP`: total tokens awaiting prefill.
     pub fn waiting_tokens(&self) -> Tokens {
-        self.waiting.iter().map(|w| w.remaining_prefill).sum()
+        self.waiting_tokens
+    }
+}
+
+/// One of a view's FCFS lists: a pool list with the count of items still
+/// to come (the walk ends at the last one, whatever unschedulable entries
+/// trail it), or a caller-made list.
+#[derive(Debug, Clone)]
+enum Lane<'a, T> {
+    Pool(Cursor<'a>, usize),
+    List(std::slice::Iter<'a, T>),
+}
+
+impl<'a, T: Copy> Lane<'a, T> {
+    fn next(&mut self, step: impl FnOnce(&mut Cursor<'a>) -> Option<T>) -> Option<T> {
+        match self {
+            Lane::Pool(_, 0) => None,
+            Lane::Pool(cursor, left) => {
+                *left -= 1;
+                step(cursor)
+            }
+            Lane::List(items) => items.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Lane::Pool(_, left) => (*left, Some(*left)),
+            Lane::List(items) => items.size_hint(),
+        }
+    }
+}
+
+/// The prefill-schedulable sequences of a [`ScheduleView`], FCFS.
+#[derive(Debug, Clone)]
+pub struct Waiting<'a>(Lane<'a, WaitingSeq>);
+
+impl Iterator for Waiting<'_> {
+    type Item = WaitingSeq;
+
+    fn next(&mut self) -> Option<WaitingSeq> {
+        self.0.next(Cursor::next_waiting)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+/// The decode-schedulable sequences of a [`ScheduleView`], FCFS.
+#[derive(Debug, Clone)]
+pub struct Decodable<'a>(Lane<'a, DecodableSeq>);
+
+impl Iterator for Decodable<'_> {
+    type Item = DecodableSeq;
+
+    fn next(&mut self) -> Option<DecodableSeq> {
+        self.0.next(Cursor::next_decodable)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
     }
 }
 
@@ -119,13 +252,15 @@ pub fn prefill_kv_after_decode(
 
 /// Shared helper: greedily carve prefill chunks FCFS from `waiting` until
 /// `token_budget` tokens, `seq_budget` sequences or `kv_free_tokens` slots
-/// are exhausted, marking the chunk that completes each prompt.
+/// are exhausted, marking the chunk that completes each prompt. The walk
+/// stops as soon as the token or sequence budget is spent, so a lent
+/// view's queue is read no further than the batch reaches.
 ///
 /// Every policy in the paper (Sarathi, vLLM, SGLang, gLLM) admits prefill
 /// FCFS with chunking; they differ only in how `token_budget` is chosen.
 // lint:allow(unit-confusion): seq_budget counts admitted sequences, not tokens
 pub fn carve_prefill_chunks(
-    waiting: &[WaitingSeq],
+    waiting: impl IntoIterator<Item = WaitingSeq>,
     token_budget: Tokens,
     seq_budget: usize,
     kv_free_tokens: Tokens,
@@ -140,7 +275,7 @@ pub fn carve_prefill_chunks(
 /// take a small chunk even when no whole block is free.
 // lint:allow(unit-confusion): seq_budget counts admitted sequences, not tokens
 pub fn carve_prefill_chunks_block_aware(
-    waiting: &[WaitingSeq],
+    waiting: impl IntoIterator<Item = WaitingSeq>,
     token_budget: Tokens,
     seq_budget: usize,
     kv_free_tokens: Tokens,
@@ -149,10 +284,9 @@ pub fn carve_prefill_chunks_block_aware(
     let mut chunks = Vec::new();
     let mut budget = token_budget;
     let mut blocks_left = kv_free_tokens.full_blocks(block_size);
-    for w in waiting.iter().take(seq_budget) {
-        if budget.is_zero() {
-            break;
-        }
+    let mut waiting = waiting.into_iter().take(seq_budget);
+    while !budget.is_zero() {
+        let Some(w) = waiting.next() else { break };
         let slack = w.context_before.to_blocks(block_size).to_tokens(block_size)
             - w.context_before;
         let appendable = slack + blocks_left.to_tokens(block_size);
@@ -187,7 +321,7 @@ pub fn carve_prefill_chunks_block_aware(
 /// 0, re-introducing inter-batch imbalance on long-context workloads.
 // lint:allow(unit-confusion): seq_budget counts admitted sequences, not tokens
 pub fn carve_prefill_chunks_weighted(
-    waiting: &[WaitingSeq],
+    waiting: impl IntoIterator<Item = WaitingSeq>,
     cost_budget: f64,
     seq_budget: usize,
     kv_free_tokens: Tokens,
@@ -198,10 +332,9 @@ pub fn carve_prefill_chunks_weighted(
     let mut chunks = Vec::new();
     let mut budget = cost_budget;
     let mut blocks_left = kv_free_tokens.full_blocks(block_size);
-    for w in waiting.iter().take(seq_budget) {
-        if budget <= 0.0 {
-            break;
-        }
+    let mut waiting = waiting.into_iter().take(seq_budget);
+    while budget > 0.0 {
+        let Some(w) = waiting.next() else { break };
         // Cost of n tokens starting at context c:
         //   n + (c·n + n²/2) / quad_ref
         // Solve for the largest n within budget (quadratic formula), then
@@ -234,9 +367,9 @@ pub fn carve_prefill_chunks_weighted(
 }
 
 /// Shared helper: schedule the first `n` decodable sequences.
-pub fn take_decodes(decodable: &[DecodableSeq], n: usize) -> Vec<DecodeSlot> {
+pub fn take_decodes(decodable: impl IntoIterator<Item = DecodableSeq>, n: usize) -> Vec<DecodeSlot> {
     decodable
-        .iter()
+        .into_iter()
         .take(n)
         .map(|d| DecodeSlot { seq: d.seq, slot: d.slot, context_before: d.context_before })
         .collect()
@@ -263,7 +396,7 @@ mod tests {
     #[test]
     fn carving_respects_token_budget_and_marks_completion() {
         let w = waiting(&[(1, 300), (2, 500)]);
-        let chunks = carve_prefill_chunks(&w, Tokens(400), 10, NO_KV_LIMIT);
+        let chunks = carve_prefill_chunks(w.clone(), Tokens(400), 10, NO_KV_LIMIT);
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].tokens, Tokens(300));
         assert!(chunks[0].completes_prompt);
@@ -274,7 +407,7 @@ mod tests {
     #[test]
     fn carving_respects_kv_limit() {
         let w = waiting(&[(1, 300)]);
-        let chunks = carve_prefill_chunks(&w, Tokens(1000), 10, Tokens(120));
+        let chunks = carve_prefill_chunks(w.clone(), Tokens(1000), 10, Tokens(120));
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].tokens, Tokens(120));
         assert!(!chunks[0].completes_prompt);
@@ -283,24 +416,24 @@ mod tests {
     #[test]
     fn carving_respects_seq_budget() {
         let w = waiting(&[(1, 10), (2, 10), (3, 10)]);
-        let chunks = carve_prefill_chunks(&w, Tokens(1000), 2, NO_KV_LIMIT);
+        let chunks = carve_prefill_chunks(w.clone(), Tokens(1000), 2, NO_KV_LIMIT);
         assert_eq!(chunks.len(), 2);
     }
 
     #[test]
     fn zero_budget_yields_no_chunks() {
         let w = waiting(&[(1, 10)]);
-        assert!(carve_prefill_chunks(&w, Tokens(0), 10, NO_KV_LIMIT).is_empty());
-        assert!(carve_prefill_chunks(&w, Tokens(10), 10, Tokens(0)).is_empty());
+        assert!(carve_prefill_chunks(w.clone(), Tokens(0), 10, NO_KV_LIMIT).is_empty());
+        assert!(carve_prefill_chunks(w.clone(), Tokens(10), 10, Tokens(0)).is_empty());
     }
 
     #[test]
     fn weighted_carving_matches_plain_at_zero_context() {
         // With context 0 and a huge quad_ref, weighting is ≈1 per token.
         let w = waiting(&[(1, 300), (2, 500)]);
-        let plain = carve_prefill_chunks(&w, Tokens(400), 10, NO_KV_LIMIT);
+        let plain = carve_prefill_chunks(w.clone(), Tokens(400), 10, NO_KV_LIMIT);
         let weighted =
-            carve_prefill_chunks_weighted(&w, 400.0, 10, NO_KV_LIMIT, Tokens(1), 1e12);
+            carve_prefill_chunks_weighted(w.clone(), 400.0, 10, NO_KV_LIMIT, Tokens(1), 1e12);
         assert_eq!(plain, weighted);
     }
 
@@ -318,8 +451,8 @@ mod tests {
             remaining_prefill: Tokens(4096),
             context_before: Tokens(16_384),
         }];
-        let a = carve_prefill_chunks_weighted(&near, 1024.0, 10, NO_KV_LIMIT, Tokens(1), 8192.0);
-        let b = carve_prefill_chunks_weighted(&far, 1024.0, 10, NO_KV_LIMIT, Tokens(1), 8192.0);
+        let a = carve_prefill_chunks_weighted(near.clone(), 1024.0, 10, NO_KV_LIMIT, Tokens(1), 8192.0);
+        let b = carve_prefill_chunks_weighted(far.clone(), 1024.0, 10, NO_KV_LIMIT, Tokens(1), 8192.0);
         assert!(
             b[0].tokens.get() < a[0].tokens.get() / 2,
             "context 16K chunk ({}) should be much smaller than context-0 ({})",
@@ -348,7 +481,7 @@ mod tests {
         let quad_ref = 4096.0;
         let budget = 800.0;
         let chunks =
-            carve_prefill_chunks_weighted(&w, budget, 10, NO_KV_LIMIT, Tokens(1), quad_ref);
+            carve_prefill_chunks_weighted(w.clone(), budget, 10, NO_KV_LIMIT, Tokens(1), quad_ref);
         let cost: f64 = chunks
             .iter()
             .map(|c| {
@@ -376,7 +509,7 @@ mod tests {
         // tokens even with a huge token budget.
         let w = waiting(&[(1, 300)]);
         let chunks =
-            carve_prefill_chunks_block_aware(&w, Tokens(1000), 10, Tokens(16), Tokens(16));
+            carve_prefill_chunks_block_aware(w.clone(), Tokens(1000), 10, Tokens(16), Tokens(16));
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].tokens, Tokens(16));
     }
@@ -391,7 +524,7 @@ mod tests {
             remaining_prefill: Tokens(300),
             context_before: Tokens(20),
         }];
-        let chunks = carve_prefill_chunks_block_aware(&w, Tokens(1000), 10, Tokens(0), Tokens(16));
+        let chunks = carve_prefill_chunks_block_aware(w.clone(), Tokens(1000), 10, Tokens(0), Tokens(16));
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].tokens, Tokens(12));
     }
@@ -414,7 +547,7 @@ mod tests {
                 context_before: Tokens(24),
             },
         ];
-        let chunks = carve_prefill_chunks_block_aware(&w, Tokens(1000), 10, Tokens(0), Tokens(16));
+        let chunks = carve_prefill_chunks_block_aware(w.clone(), Tokens(1000), 10, Tokens(0), Tokens(16));
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].seq, 2);
         assert_eq!(chunks[0].tokens, Tokens(8));
@@ -424,8 +557,8 @@ mod tests {
     fn block_aware_with_unit_blocks_matches_plain() {
         let w = waiting(&[(1, 300), (2, 500)]);
         assert_eq!(
-            carve_prefill_chunks(&w, Tokens(400), 10, Tokens(120)),
-            carve_prefill_chunks_block_aware(&w, Tokens(400), 10, Tokens(120), Tokens(1))
+            carve_prefill_chunks(w.clone(), Tokens(400), 10, Tokens(120)),
+            carve_prefill_chunks_block_aware(w.clone(), Tokens(400), 10, Tokens(120), Tokens(1))
         );
     }
 
@@ -451,25 +584,17 @@ mod tests {
             DecodableSeq { seq: 5, slot: SeqSlot::default(), context_before: Tokens(10) },
             DecodableSeq { seq: 6, slot: SeqSlot::default(), context_before: Tokens(20) },
         ];
-        let slots = take_decodes(&d, 1);
+        let slots = take_decodes(d.clone(), 1);
         assert_eq!(slots.len(), 1);
         assert_eq!(slots[0].seq, 5);
-        assert_eq!(take_decodes(&d, 99).len(), 2);
+        assert_eq!(take_decodes(d.clone(), 99).len(), 2);
     }
 
     #[test]
     fn waiting_tokens_sums_remaining() {
-        let v = ScheduleView {
-            waiting: waiting(&[(1, 10), (2, 30)]),
-            decodable: vec![],
-            total_decode_seqs: 0,
-            kv_free_rate: 1.0,
-            kv_free_tokens: Tokens(100),
-            block_size: Tokens(1),
-            in_flight_seqs: 0,
-            pipeline_depth: 4,
-            max_seqs_per_batch: 1024,
-        };
+        let v = ScheduleView::from_lists(waiting(&[(1, 10), (2, 30)]), vec![]);
         assert_eq!(v.waiting_tokens(), Tokens(40));
+        assert_eq!(v.waiting_seqs(), 2);
+        assert_eq!(v.waiting().map(|w| w.seq).collect::<Vec<_>>(), vec![1, 2]);
     }
 }

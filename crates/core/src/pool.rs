@@ -24,11 +24,16 @@
 //! (`add`, `add_decoding`, `abort`, `seq`, `slot`). Preemption victims and
 //! finished sequences come back with their slots too, so the KV manager
 //! and the auditor, which key their tables by the same slot, need no id
-//! lookup either. The live sequences form a
-//! doubly-linked list through their slots in arrival (FCFS) order, and a
-//! sequence leaves the pool the moment it finishes, so a view walks live
-//! sequences only, and victim searches walk the same list from its newest
-//! end. The decode and in-flight counts are kept on every phase change.
+//! lookup either.
+//!
+//! The live sequences form two doubly-linked lists through their slots,
+//! one per phase (`Waiting`, `Decoding`), each in arrival (FCFS) order by
+//! an arrival stamp; a phase change re-links the sequence into the other
+//! list at its arrival position, and a sequence leaves the pool the moment
+//! it finishes. A [`ScheduleView`] lends both lists in place: a policy
+//! walks them only as far as its budget reaches, and reads `#WP`, `#RD`
+//! and the schedulable counts from totals the pool keeps on every
+//! transition. Victim searches walk the matching list from its newest end.
 //!
 //! The pool is deliberately independent of clocks and hardware: the
 //! discrete-event simulator drives it with virtual time, the threaded
@@ -39,7 +44,7 @@ use std::collections::BTreeMap;
 use gllm_units::Tokens;
 
 use crate::plan::{BatchPlan, SeqSlot};
-use crate::policy::{DecodableSeq, ScheduleView, WaitingSeq};
+use crate::policy::{DecodableSeq, Queues, ScheduleView, WaitingSeq};
 use crate::sequence::{Phase, Sequence};
 
 #[cfg(test)]
@@ -50,6 +55,9 @@ mod oracle;
 pub struct EmittedToken {
     /// Sequence that produced the token.
     pub seq: u64,
+    /// The slot the sequence held (still valid for a finished sequence
+    /// until the pool admits another).
+    pub slot: SeqSlot,
     /// Whether this token finished the request.
     pub finished: bool,
 }
@@ -64,17 +72,89 @@ pub struct BatchOutcome {
     pub finished: Vec<(u64, SeqSlot)>,
 }
 
-/// The end of the arrival-order list.
+/// The end of a list.
 const NIL: u32 = u32::MAX;
 
-/// An occupied slab slot: a live sequence and its arrival-order neighbours.
+/// The list of `Waiting` sequences.
+const WAITING: usize = 0;
+/// The list of `Decoding` sequences.
+const DECODING: usize = 1;
+
+/// The list a sequence in `phase` belongs to; finished sequences are in
+/// none.
+fn list_of(phase: Phase) -> Option<usize> {
+    match phase {
+        Phase::Waiting => Some(WAITING),
+        Phase::Decoding => Some(DECODING),
+        Phase::Finished => None,
+    }
+}
+
+/// An occupied slab slot: a live sequence and its neighbours in its
+/// phase's list.
 #[derive(Debug, Clone)]
 struct Entry {
     seq: Sequence,
-    /// The previous (older) live sequence's slot, or `NIL`.
+    /// Arrival stamp: the order of the lists.
+    arrival: u64,
+    /// The previous (older) sequence's slot in the list, or `NIL`.
     prev: u32,
-    /// The next (newer) live sequence's slot, or `NIL`.
+    /// The next (newer) sequence's slot in the list, or `NIL`.
     next: u32,
+}
+
+/// The ends of one FCFS list.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    /// Oldest sequence (`NIL` when empty).
+    head: u32,
+    /// Newest sequence (`NIL` when empty).
+    tail: u32,
+}
+
+impl Default for List {
+    fn default() -> Self {
+        Self { head: NIL, tail: NIL }
+    }
+}
+
+/// The totals the pool keeps for the view, each a sum over live
+/// sequences of what [`Totals::of`] counts for one.
+#[derive(Debug, Clone, Copy, Default)]
+struct Totals {
+    /// Sequences in the decode phase (the paper's `#RD`).
+    decoding: usize,
+    /// Sequences inside at least one in-flight micro-batch.
+    in_flight: usize,
+    /// Decode-schedulable sequences.
+    decodable: usize,
+    /// Prefill-schedulable sequences.
+    schedulable: usize,
+    /// Prompt tokens of the prefill-schedulable sequences (the paper's
+    /// `#WP`).
+    waiting_tokens: usize,
+}
+
+impl Totals {
+    fn of(s: &Sequence, cpp: bool) -> Self {
+        let schedulable = s.prefill_schedulable(cpp);
+        Self {
+            decoding: usize::from(s.phase == Phase::Decoding),
+            in_flight: usize::from(s.is_in_flight()),
+            decodable: usize::from(s.decode_schedulable()),
+            schedulable: usize::from(schedulable),
+            waiting_tokens: if schedulable { s.remaining_prefill() } else { 0 },
+        }
+    }
+
+    /// Replace one sequence's share `old` by `new`.
+    fn shift(&mut self, old: Self, new: Self) {
+        self.decoding = self.decoding + new.decoding - old.decoding;
+        self.in_flight = self.in_flight + new.in_flight - old.in_flight;
+        self.decodable = self.decodable + new.decodable - old.decodable;
+        self.schedulable = self.schedulable + new.schedulable - old.schedulable;
+        self.waiting_tokens = self.waiting_tokens + new.waiting_tokens - old.waiting_tokens;
+    }
 }
 
 /// The global sequence pool.
@@ -86,35 +166,28 @@ pub struct RequestPool {
     free: Vec<u32>,
     /// Id → slot of every live sequence.
     ids: BTreeMap<u64, u32>,
-    /// Oldest live sequence (`NIL` when empty).
-    head: u32,
-    /// Newest live sequence (`NIL` when empty).
-    tail: u32,
+    /// The `WAITING` and `DECODING` lists.
+    lists: [List; 2],
+    /// The next arrival stamp.
+    arrivals: u64,
     max_seqs_per_batch: usize,
     /// Chunked pipeline parallelism: allow a sequence's next prefill chunk
     /// to be scheduled while earlier chunks are still in flight in later
     /// pipeline stages.
     cpp: bool,
-    /// Live sequences in the decode phase (the paper's `#RD`).
-    decoding: usize,
-    /// Live sequences inside at least one in-flight micro-batch.
-    in_flight: usize,
+    totals: Totals,
 }
 
 impl RequestPool {
     /// A pool with the engine's per-batch sequence cap (vLLM default 1024).
     pub fn new(max_seqs_per_batch: usize) -> Self {
-        Self {
-            head: NIL,
-            tail: NIL,
-            max_seqs_per_batch,
-            ..Self::default()
-        }
+        Self { max_seqs_per_batch, ..Self::default() }
     }
 
     /// Enable chunked pipeline parallelism (intra-request chunk overlap,
     /// the CPP optimisation the paper integrates in §3.4).
     pub fn with_cpp(mut self, cpp: bool) -> Self {
+        assert!(self.ids.is_empty(), "CPP is chosen before the first arrival");
         self.cpp = cpp;
         self
     }
@@ -177,48 +250,27 @@ impl RequestPool {
         !self.ids.is_empty()
     }
 
-    /// Build the scheduling snapshot. `kv_free_rate` / `kv_free_tokens` /
-    /// `block_size` come from the KV cache manager; `pipeline_depth` from
-    /// the engine.
+    /// Lend the scheduling view: the two FCFS lists, walked in place, and
+    /// the kept totals. `kv_free_rate` / `kv_free_tokens` / `block_size`
+    /// come from the KV cache manager; `pipeline_depth` from the engine.
     pub fn view(
         &self,
         kv_free_rate: f64,
         kv_free_tokens: Tokens,
         block_size: Tokens,
         pipeline_depth: usize,
-    ) -> ScheduleView {
-        // Pre-sizing absorbs the growth reallocations: the view is rebuilt
-        // on every schedule attempt, the simulator's hottest loop.
-        let mut waiting = Vec::with_capacity(self.ids.len() - self.decoding);
-        let mut decodable = Vec::with_capacity(self.decoding);
-        let mut cur = self.head;
-        while let Some(e) = self.entry(cur) {
-            let s = &e.seq;
-            let slot = SeqSlot::new(cur);
-            match s.phase {
-                Phase::Waiting if s.prefill_schedulable(self.cpp) => waiting.push(WaitingSeq {
-                    seq: s.id,
-                    slot,
-                    remaining_prefill: Tokens(s.remaining_prefill()),
-                    context_before: Tokens(s.context_len()),
-                }),
-                Phase::Decoding if !s.is_in_flight() => decodable.push(DecodableSeq {
-                    seq: s.id,
-                    slot,
-                    context_before: Tokens(s.context_len()),
-                }),
-                _ => {}
-            }
-            cur = e.next;
-        }
+    ) -> ScheduleView<'_> {
+        let t = &self.totals;
         ScheduleView {
-            waiting,
-            decodable,
-            total_decode_seqs: self.decoding,
+            queues: Queues::Pool(self),
+            waiting_seqs: t.schedulable,
+            decodable_seqs: t.decodable,
+            waiting_tokens: Tokens(t.waiting_tokens),
+            total_decode_seqs: t.decoding,
             kv_free_rate,
             kv_free_tokens,
             block_size,
-            in_flight_seqs: self.in_flight,
+            in_flight_seqs: t.in_flight,
             pipeline_depth,
             max_seqs_per_batch: self.max_seqs_per_batch,
         }
@@ -302,19 +354,23 @@ impl RequestPool {
     /// recomputation — the recovery path after a pipeline failure, where
     /// all resident KV dies with the stages that computed it. In-flight
     /// sequences are skipped (the caller must [`RequestPool::uncommit`]
-    /// lost plans first). Returns the reset ids in ascending order.
-    pub fn preempt_all_live(&mut self) -> Vec<u64> {
+    /// lost plans first). Returns the reset ids, each with its slot, in
+    /// ascending id order.
+    pub fn preempt_all_live(&mut self) -> Vec<(u64, SeqSlot)> {
         let mut reset = Vec::new();
-        let mut cur = self.head;
-        while let Some(e) = self.entry(cur) {
-            let (slot, s) = (cur, e.seq);
-            cur = e.next;
-            if !s.is_in_flight() && s.context_len() > 0 {
-                self.update(slot, Sequence::reset_for_recompute);
-                reset.push(s.id);
+        for list in self.lists {
+            let mut cur = list.head;
+            while let Some(e) = self.entry(cur) {
+                if !e.seq.is_in_flight() && e.seq.context_len() > 0 {
+                    reset.push((e.seq.id, SeqSlot::new(cur)));
+                }
+                cur = e.next;
             }
         }
-        reset.sort_unstable();
+        for &(_, slot) in &reset {
+            self.update(slot.get(), Sequence::reset_for_recompute);
+        }
+        reset.sort_unstable_by_key(|&(id, _)| id);
         reset
     }
 
@@ -325,9 +381,7 @@ impl RequestPool {
     /// its slot and the KV tokens it held, or `None` if nothing is
     /// evictable.
     pub fn preempt_latest_excluding(&mut self, exclude: &[u64]) -> Option<(u64, SeqSlot, Tokens)> {
-        self.preempt_newest(|s| {
-            s.phase == Phase::Decoding && !s.is_in_flight() && !exclude.contains(&s.id)
-        })
+        self.preempt_newest(DECODING, |s| !s.is_in_flight() && !exclude.contains(&s.id))
     }
 
     /// Stall breaker: when nothing is in flight and no plan can be formed
@@ -336,9 +390,7 @@ impl RequestPool {
     /// context, forcing it to recompute later. Returns its id, its slot and
     /// the KV tokens it held.
     pub fn preempt_stalled_waiting(&mut self) -> Option<(u64, SeqSlot, Tokens)> {
-        self.preempt_newest(|s| {
-            s.phase == Phase::Waiting && !s.is_in_flight() && s.context_len() > 0
-        })
+        self.preempt_newest(WAITING, |s| !s.is_in_flight() && s.context_len() > 0)
     }
 
     /// Abort a request that can never be served (e.g. its prompt exceeds
@@ -358,6 +410,10 @@ impl RequestPool {
         self.slab.get(slot as usize).and_then(Option::as_ref)
     }
 
+    fn entry_mut(&mut self, slot: u32) -> Option<&mut Entry> {
+        self.slab.get_mut(slot as usize).and_then(Option::as_mut)
+    }
+
     fn get(&self, slot: u32) -> Option<&Sequence> {
         self.entry(slot).map(|e| &e.seq)
     }
@@ -373,15 +429,24 @@ impl RequestPool {
     }
 
     /// Apply `f` to the sequence in `slot` (which must be occupied),
-    /// keeping the decode and in-flight counts in step with it.
+    /// keeping the totals in step with it and re-linking it when its phase
+    /// changed.
     fn update<R>(&mut self, slot: u32, f: impl FnOnce(&mut Sequence) -> R) -> R {
+        let cpp = self.cpp;
         // lint:allow(panic-freedom): callers pass slots they found occupied
         let s = &mut self.slab[slot as usize].as_mut().expect("occupied slot").seq;
-        let (was_decoding, was_in_flight) = (s.phase == Phase::Decoding, s.is_in_flight());
+        let (old, old_list) = (Totals::of(s, cpp), list_of(s.phase));
         let r = f(s);
-        let (decoding, in_flight) = (s.phase == Phase::Decoding, s.is_in_flight());
-        self.decoding = self.decoding + usize::from(decoding) - usize::from(was_decoding);
-        self.in_flight = self.in_flight + usize::from(in_flight) - usize::from(was_in_flight);
+        let (new, new_list) = (Totals::of(s, cpp), list_of(s.phase));
+        self.totals.shift(old, new);
+        if old_list != new_list {
+            if let Some(list) = old_list {
+                self.unlink(slot, list);
+            }
+            if let Some(list) = new_list {
+                self.link(slot, list);
+            }
+        }
         r
     }
 
@@ -390,17 +455,21 @@ impl RequestPool {
     fn emit(&mut self, slot: u32, outcome: &mut BatchOutcome) {
         let Some(s) = self.get(slot) else { return };
         let (seq, finished) = (s.id, s.is_finished());
-        outcome.emitted.push(EmittedToken { seq, finished });
+        outcome.emitted.push(EmittedToken { seq, slot: SeqSlot::new(slot), finished });
         if finished {
             outcome.finished.push((seq, SeqSlot::new(slot)));
             self.remove(slot);
         }
     }
 
-    /// Reset the newest live sequence that satisfies `victim` for
+    /// Reset the newest sequence of `list` that satisfies `victim` for
     /// recomputation. Returns its id, its slot and the KV tokens it held.
-    fn preempt_newest(&mut self, victim: impl Fn(&Sequence) -> bool) -> Option<(u64, SeqSlot, Tokens)> {
-        let mut cur = self.tail;
+    fn preempt_newest(
+        &mut self,
+        list: usize,
+        victim: impl Fn(&Sequence) -> bool,
+    ) -> Option<(u64, SeqSlot, Tokens)> {
+        let mut cur = self.lists[list].tail;
         while let Some(e) = self.entry(cur) {
             if victim(&e.seq) {
                 let (id, held) = (e.seq.id, Tokens(e.seq.context_len()));
@@ -412,7 +481,7 @@ impl RequestPool {
         None
     }
 
-    /// Place `s` in a free slot at the newest end of the arrival order.
+    /// Place `s` in a free slot, newest of its phase's list.
     fn insert(&mut self, s: Sequence) -> SeqSlot {
         assert!(!self.ids.contains_key(&s.id), "duplicate request id {}", s.id);
         let slot = match self.free.pop() {
@@ -424,31 +493,132 @@ impl RequestPool {
             }
         };
         self.ids.insert(s.id, slot);
-        self.decoding += usize::from(s.phase == Phase::Decoding);
-        self.slab[slot as usize] = Some(Entry { seq: s, prev: self.tail, next: NIL });
-        match self.slab.get_mut(self.tail as usize).and_then(Option::as_mut) {
-            Some(tail) => tail.next = slot,
-            None => self.head = slot,
+        self.totals.shift(Totals::default(), Totals::of(&s, self.cpp));
+        let list = list_of(s.phase);
+        let arrival = self.arrivals;
+        self.arrivals += 1;
+        self.slab[slot as usize] = Some(Entry { seq: s, arrival, prev: NIL, next: NIL });
+        if let Some(list) = list {
+            self.link(slot, list);
         }
-        self.tail = slot;
         SeqSlot::new(slot)
     }
 
-    /// Unlink the (not in flight) sequence in `slot` and free the slot.
+    /// Free the (not in flight) sequence in `slot`, unlinking it.
     fn remove(&mut self, slot: u32) {
+        let Some(phase) = self.get(slot).map(|s| s.phase) else { return };
+        if let Some(list) = list_of(phase) {
+            self.unlink(slot, list);
+        }
         let Some(e) = self.slab.get_mut(slot as usize).and_then(Option::take) else { return };
         debug_assert!(!e.seq.is_in_flight(), "removing an in-flight sequence");
         self.ids.remove(&e.seq.id);
-        self.decoding -= usize::from(e.seq.phase == Phase::Decoding);
-        match self.slab.get_mut(e.prev as usize).and_then(Option::as_mut) {
-            Some(prev) => prev.next = e.next,
-            None => self.head = e.next,
-        }
-        match self.slab.get_mut(e.next as usize).and_then(Option::as_mut) {
-            Some(next) => next.prev = e.prev,
-            None => self.tail = e.prev,
-        }
+        self.totals.shift(Totals::of(&e.seq, self.cpp), Totals::default());
         self.free.push(slot);
+    }
+
+    /// Link the unlinked entry in `slot` into `list` at its arrival
+    /// position: after the newest older entry. The search runs from both
+    /// ends at once, so it walks only as far as the nearer end: a new
+    /// arrival or a finished prompt joins at (or near) the newest end, a
+    /// preempted sequence near the oldest.
+    fn link(&mut self, slot: u32, list: usize) {
+        let Some(arrival) = self.entry(slot).map(|e| e.arrival) else { return };
+        let List { head, tail } = self.lists[list];
+        let (mut older, mut newer) = (tail, head);
+        let prev = loop {
+            match self.entry(older) {
+                None => break NIL,
+                Some(e) if e.arrival < arrival => break older,
+                Some(e) => older = e.prev,
+            }
+            match self.entry(newer) {
+                None => break tail,
+                Some(e) if e.arrival > arrival => break e.prev,
+                Some(e) => newer = e.next,
+            }
+        };
+        let next = self.entry(prev).map_or(head, |e| e.next);
+        if let Some(e) = self.entry_mut(slot) {
+            (e.prev, e.next) = (prev, next);
+        }
+        match self.entry_mut(prev) {
+            Some(e) => e.next = slot,
+            None => self.lists[list].head = slot,
+        }
+        match self.entry_mut(next) {
+            Some(e) => e.prev = slot,
+            None => self.lists[list].tail = slot,
+        }
+    }
+
+    /// Unlink the entry in `slot` from `list`.
+    fn unlink(&mut self, slot: u32, list: usize) {
+        let Some((prev, next)) = self.entry(slot).map(|e| (e.prev, e.next)) else { return };
+        match self.entry_mut(prev) {
+            Some(e) => e.next = next,
+            None => self.lists[list].head = next,
+        }
+        match self.entry_mut(next) {
+            Some(e) => e.prev = prev,
+            None => self.lists[list].tail = prev,
+        }
+    }
+}
+
+/// A walk along one of the pool's FCFS lists, lent by a
+/// [`ScheduleView`].
+#[derive(Debug, Clone)]
+pub(crate) struct Cursor<'a> {
+    pool: &'a RequestPool,
+    at: u32,
+}
+
+impl<'a> Cursor<'a> {
+    /// The oldest end of the waiting list.
+    pub(crate) fn waiting(pool: &'a RequestPool) -> Self {
+        Self { pool, at: pool.lists[WAITING].head }
+    }
+
+    /// The oldest end of the decoding list.
+    pub(crate) fn decoding(pool: &'a RequestPool) -> Self {
+        Self { pool, at: pool.lists[DECODING].head }
+    }
+
+    /// The next sequence of the list that `pick` turns into an item.
+    fn find<T>(&mut self, pick: impl Fn(SeqSlot, &Sequence) -> Option<T>) -> Option<T> {
+        while let Some(e) = self.pool.entry(self.at) {
+            let slot = SeqSlot::new(self.at);
+            self.at = e.next;
+            if let Some(item) = pick(slot, &e.seq) {
+                return Some(item);
+            }
+        }
+        None
+    }
+
+    /// The next prefill-schedulable sequence of the waiting list.
+    pub(crate) fn next_waiting(&mut self) -> Option<WaitingSeq> {
+        let cpp = self.pool.cpp;
+        self.find(|slot, s| {
+            s.prefill_schedulable(cpp).then(|| WaitingSeq {
+                seq: s.id,
+                slot,
+                remaining_prefill: Tokens(s.remaining_prefill()),
+                context_before: Tokens(s.context_len()),
+            })
+        })
+    }
+
+    /// The next decode-schedulable sequence of the decoding list.
+    pub(crate) fn next_decodable(&mut self) -> Option<DecodableSeq> {
+        self.find(|slot, s| {
+            (!s.is_in_flight()).then(|| DecodableSeq {
+                seq: s.id,
+                slot,
+                context_before: Tokens(s.context_len()),
+            })
+        })
     }
 }
 
@@ -478,8 +648,16 @@ mod tests {
         DecodeSlot { seq, slot: slot_of(pool, seq), context_before: Tokens(before) }
     }
 
-    fn view(pool: &RequestPool, kv_free_tokens: usize) -> ScheduleView {
+    fn view(pool: &RequestPool, kv_free_tokens: usize) -> ScheduleView<'_> {
         pool.view(1.0, Tokens(kv_free_tokens), Tokens(1), 4)
+    }
+
+    fn waiting(pool: &RequestPool) -> Vec<WaitingSeq> {
+        view(pool, 1000).waiting().collect()
+    }
+
+    fn decodable(pool: &RequestPool) -> Vec<DecodableSeq> {
+        view(pool, 1000).decodable().collect()
     }
 
     #[test]
@@ -491,13 +669,13 @@ mod tests {
         let plan = BatchPlan { prefill: vec![chunk(&pool, 2, 50, 0, true)], decode: vec![] };
         pool.commit(&plan);
         pool.complete(&plan);
-        let v = view(&pool, 1000);
-        assert_eq!(v.waiting.len(), 1);
-        assert_eq!(v.waiting[0].seq, 1);
-        assert_eq!(v.decodable.len(), 1);
-        assert_eq!(v.decodable[0].seq, 2);
-        assert_eq!(v.decodable[0].context_before, Tokens(50));
-        assert_eq!(v.total_decode_seqs, 1);
+        let (w, d) = (waiting(&pool), decodable(&pool));
+        assert_eq!(w.len(), 1);
+        assert_eq!(w[0].seq, 1);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].seq, 2);
+        assert_eq!(d[0].context_before, Tokens(50));
+        assert_eq!(view(&pool, 1000).total_decode_seqs, 1);
     }
 
     #[test]
@@ -511,11 +689,11 @@ mod tests {
         let p2 = BatchPlan { prefill: vec![], decode: vec![slot(&pool, 1, 10)] };
         pool.commit(&p2);
         let v = view(&pool, 1000);
-        assert!(v.decodable.is_empty(), "in-flight seq is not schedulable");
+        assert!(v.decodable().next().is_none(), "in-flight seq is not schedulable");
         assert_eq!(v.total_decode_seqs, 1, "but it counts in #RD");
         assert_eq!(v.in_flight_seqs, 1);
         pool.complete(&p2);
-        assert_eq!(view(&pool, 1000).decodable.len(), 1);
+        assert_eq!(decodable(&pool).len(), 1);
     }
 
     #[test]
@@ -525,11 +703,12 @@ mod tests {
         let p1 = BatchPlan { prefill: vec![chunk(&pool, 1, 10, 0, true)], decode: vec![] };
         pool.commit(&p1);
         let o1 = pool.complete(&p1);
-        assert_eq!(o1.emitted, vec![EmittedToken { seq: 1, finished: false }]);
+        let slot1 = p1.prefill[0].slot;
+        assert_eq!(o1.emitted, vec![EmittedToken { seq: 1, slot: slot1, finished: false }]);
         let p2 = BatchPlan { prefill: vec![], decode: vec![slot(&pool, 1, 10)] };
         pool.commit(&p2);
         let o2 = pool.complete(&p2);
-        assert_eq!(o2.emitted, vec![EmittedToken { seq: 1, finished: true }]);
+        assert_eq!(o2.emitted, vec![EmittedToken { seq: 1, slot: slot1, finished: true }]);
         assert_eq!(o2.finished, vec![(1, p2.decode[0].slot)]);
         assert!(!pool.has_work());
         assert!(pool.seq(1).is_none(), "a finished sequence leaves the pool");
@@ -543,9 +722,9 @@ mod tests {
         pool.commit(&p);
         let o = pool.complete(&p);
         assert!(o.emitted.is_empty());
-        let v = view(&pool, 1000);
-        assert_eq!(v.waiting[0].remaining_prefill, Tokens(60));
-        assert_eq!(v.waiting[0].context_before, Tokens(40));
+        let w = waiting(&pool);
+        assert_eq!(w[0].remaining_prefill, Tokens(60));
+        assert_eq!(w[0].context_before, Tokens(40));
     }
 
     #[test]
@@ -587,12 +766,12 @@ mod tests {
         assert_eq!(victim, 2);
         assert_eq!(victim_slot, slot_of(&pool, 2));
         assert_eq!(held, Tokens(10));
-        let v = view(&pool, 1000);
-        assert_eq!(v.decodable.len(), 1);
-        assert_eq!(v.waiting.len(), 1);
-        assert_eq!(v.waiting[0].seq, 2);
+        let w = waiting(&pool);
+        assert_eq!(decodable(&pool).len(), 1);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w[0].seq, 2);
         // Recompute includes the generated token.
-        assert_eq!(v.waiting[0].remaining_prefill, Tokens(11));
+        assert_eq!(w[0].remaining_prefill, Tokens(11));
         assert_eq!(pool.seq(2).unwrap().preemptions, 1);
         // An excluded newest decoder passes the choice to the next one.
         let (victim, _, _) = pool.preempt_latest_excluding(&[2]).unwrap();
@@ -606,18 +785,18 @@ mod tests {
         let p1 = BatchPlan { prefill: vec![chunk(&pool, 1, 60, 0, false)], decode: vec![] };
         pool.commit(&p1);
         // With CPP the remainder is schedulable while chunk 1 is in flight.
-        let v = view(&pool, 1000);
-        assert_eq!(v.waiting.len(), 1);
-        assert_eq!(v.waiting[0].remaining_prefill, Tokens(40));
-        assert_eq!(v.waiting[0].context_before, Tokens(60));
+        let w = waiting(&pool);
+        assert_eq!(w.len(), 1);
+        assert_eq!(w[0].remaining_prefill, Tokens(40));
+        assert_eq!(w[0].context_before, Tokens(60));
         let p2 = BatchPlan { prefill: vec![chunk(&pool, 1, 40, 60, true)], decode: vec![] };
         pool.commit(&p2);
-        assert!(view(&pool, 1000).waiting.is_empty());
+        assert!(waiting(&pool).is_empty());
         // Chunks complete in pipeline order; only the final one emits.
         let o1 = pool.complete(&p1);
         assert!(o1.emitted.is_empty());
         let o2 = pool.complete(&p2);
-        assert_eq!(o2.emitted, vec![EmittedToken { seq: 1, finished: false }]);
+        assert_eq!(o2.emitted, vec![EmittedToken { seq: 1, slot: p2.prefill[0].slot, finished: false }]);
         assert_eq!(pool.seq(1).unwrap().generated, 1);
     }
 
@@ -627,7 +806,7 @@ mod tests {
         pool.add(1, 100, 3);
         let p1 = BatchPlan { prefill: vec![chunk(&pool, 1, 60, 0, false)], decode: vec![] };
         pool.commit(&p1);
-        assert!(view(&pool, 1000).waiting.is_empty());
+        assert!(waiting(&pool).is_empty());
     }
 
     #[test]
@@ -687,7 +866,7 @@ mod tests {
         pool.commit(&p2);
         pool.complete(&p2);
         let reset = pool.preempt_all_live();
-        assert_eq!(reset, vec![1, 2]);
+        assert_eq!(reset, vec![(1, p1.prefill[0].slot), (2, p2.prefill[0].slot)]);
         for id in [1, 2] {
             let s = pool.seq(id).unwrap();
             assert_eq!(s.phase, Phase::Waiting, "seq {id}");
@@ -759,12 +938,12 @@ mod tests {
             pool.commit(&plan);
             pool.complete(&plan);
             let v = view(&pool, 1000);
-            let decodable: Vec<u64> = v.decodable.iter().map(|d| d.seq).collect();
+            let decodable: Vec<u64> = v.decodable().map(|d| d.seq).collect();
             assert_eq!(decodable, vec![first], "ids {ids:?}");
             assert_eq!(v.total_decode_seqs, 1);
             assert_eq!(v.in_flight_seqs, 0);
             // FCFS: waiting is in arrival order, not id order.
-            let got: Vec<u64> = v.waiting.iter().map(|w| w.seq).collect();
+            let got: Vec<u64> = v.waiting().map(|w| w.seq).collect();
             assert_eq!(got, ids[1..].to_vec(), "arrival order lost");
         }
     }
@@ -791,7 +970,7 @@ mod tests {
         pool.add(7, 8, 1);
         pool.add(8, 8, 1);
         assert_eq!(pool.slab.len(), 5);
-        let order: Vec<u64> = view(&pool, 1000).waiting.iter().map(|w| w.seq).collect();
+        let order: Vec<u64> = waiting(&pool).iter().map(|w| w.seq).collect();
         assert_eq!(order, vec![1, 2, 3, 7, 8], "reused slots join at the newest end");
     }
 
@@ -807,7 +986,10 @@ mod tests {
 
 /// The slab pool against the map-based pool it replaced ([`oracle`]):
 /// random operation sequences must leave both with equal views, outcomes,
-/// victims, reset lists and unfinished counts after every step.
+/// victims, reset lists and unfinished counts after every step. The slab's
+/// view is lent (walked lists, kept totals); the oracle's is built from
+/// `Vec`s by a full walk, so every collected list, `#WP` and count is
+/// checked against a recount.
 #[cfg(test)]
 mod differential {
     use proptest::prelude::*;
@@ -823,15 +1005,44 @@ mod differential {
         (0u8..2, proptest::collection::vec((0u8..16, 0u64..1 << 20, 1usize..64, 1usize..12), 1..160))
     }
 
-    /// A view with every slot cleared: the oracle has no slots.
-    fn unslotted(mut v: ScheduleView) -> ScheduleView {
-        v.waiting.iter_mut().for_each(|w| w.slot = SeqSlot::default());
-        v.decodable.iter_mut().for_each(|d| d.slot = SeqSlot::default());
-        v
+    /// Everything a view shows, its lists collected.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        waiting: Vec<WaitingSeq>,
+        decodable: Vec<DecodableSeq>,
+        waiting_tokens: Tokens,
+        waiting_seqs: usize,
+        decodable_seqs: usize,
+        total_decode_seqs: usize,
+        in_flight_seqs: usize,
+        kv_free_rate: f64,
+        kv_free_tokens: Tokens,
+        block_size: Tokens,
+        pipeline_depth: usize,
+        max_seqs_per_batch: usize,
     }
 
-    /// An outcome with every finished slot cleared.
+    /// What `v` shows, with every slot cleared: the oracle has no slots.
+    fn unslotted(v: &ScheduleView) -> Seen {
+        Seen {
+            waiting: v.waiting().map(|w| WaitingSeq { slot: SeqSlot::default(), ..w }).collect(),
+            decodable: v.decodable().map(|d| DecodableSeq { slot: SeqSlot::default(), ..d }).collect(),
+            waiting_tokens: v.waiting_tokens(),
+            waiting_seqs: v.waiting_seqs(),
+            decodable_seqs: v.decodable_seqs(),
+            total_decode_seqs: v.total_decode_seqs,
+            in_flight_seqs: v.in_flight_seqs,
+            kv_free_rate: v.kv_free_rate,
+            kv_free_tokens: v.kv_free_tokens,
+            block_size: v.block_size,
+            pipeline_depth: v.pipeline_depth,
+            max_seqs_per_batch: v.max_seqs_per_batch,
+        }
+    }
+
+    /// An outcome with every slot cleared.
     fn unslotted_outcome(mut o: BatchOutcome) -> BatchOutcome {
+        o.emitted.iter_mut().for_each(|e| e.slot = SeqSlot::default());
         o.finished.iter_mut().for_each(|f| f.1 = SeqSlot::default());
         o
     }
@@ -841,11 +1052,11 @@ mod differential {
         v.map(|(id, _, held)| (id, held))
     }
 
-    fn view_of(pool: &RequestPool) -> ScheduleView {
+    fn view_of(pool: &RequestPool) -> ScheduleView<'_> {
         pool.view(0.5, Tokens(1 << 20), Tokens(16), 3)
     }
 
-    fn oracle_view(pool: &oracle::RequestPool) -> ScheduleView {
+    fn oracle_view(pool: &oracle::RequestPool) -> ScheduleView<'static> {
         pool.view(0.5, Tokens(1 << 20), Tokens(16), 3)
     }
 
@@ -888,8 +1099,8 @@ mod differential {
                     4..=7 if in_flight.len() < 4 => {
                         let v = view_of(&pool);
                         let plan = BatchPlan {
-                            prefill: carve_prefill_chunks(&v.waiting, Tokens(a * 3), b, Tokens(usize::MAX)),
-                            decode: take_decodes(&v.decodable, b),
+                            prefill: carve_prefill_chunks(v.waiting(), Tokens(a * 3), b, Tokens(usize::MAX)),
+                            decode: take_decodes(v.decodable(), b),
                         };
                         if !plan.is_empty() {
                             pool.commit(&plan);
@@ -923,7 +1134,10 @@ mod differential {
                             reference.preempt_stalled_waiting()
                         );
                     }
-                    14 => prop_assert_eq!(pool.preempt_all_live(), reference.preempt_all_live()),
+                    14 => {
+                        let reset: Vec<u64> = pool.preempt_all_live().iter().map(|&(id, _)| id).collect();
+                        prop_assert_eq!(reset, reference.preempt_all_live());
+                    }
                     15 if !live.is_empty() => {
                         let id = live[pick as usize % live.len()];
                         if !pool.seq(id).is_some_and(Sequence::is_in_flight) {
@@ -934,7 +1148,10 @@ mod differential {
                     }
                     _ => {}
                 }
-                prop_assert_eq!(unslotted(view_of(&pool)), oracle_view(&reference));
+                let (lent, recount) = (unslotted(&view_of(&pool)), unslotted(&oracle_view(&reference)));
+                prop_assert_eq!(lent.waiting.len(), lent.waiting_seqs);
+                prop_assert_eq!(lent.decodable.len(), lent.decodable_seqs);
+                prop_assert_eq!(lent, recount);
                 prop_assert_eq!(pool.unfinished_count(), reference.unfinished_count());
                 prop_assert_eq!(pool.has_work(), reference.has_work());
                 for &id in &live {

@@ -1,8 +1,9 @@
 //! The map-based request pool the slab replaced, kept as the oracle of
 //! the differential test in `pool.rs`: every sequence in a
 //! `BTreeMap<u64, Sequence>`, an arrival-order id list pruned lazily, and
-//! a full walk of the live sequences per view. Views carry the default
-//! slot; the test compares them with the slab's slots cleared.
+//! a full walk of the live sequences per view, copied into `Vec`s. Views
+//! and outcomes carry the default slot; the test compares them with the
+//! slab's slots cleared.
 
 use std::collections::BTreeMap;
 
@@ -125,7 +126,7 @@ impl RequestPool {
         kv_free_tokens: Tokens,
         block_size: Tokens,
         pipeline_depth: usize,
-    ) -> ScheduleView {
+    ) -> ScheduleView<'static> {
         // Pre-sizing absorbs the growth reallocations: the view is rebuilt
         // on every schedule attempt, the simulator's hottest loop.
         let mut waiting = Vec::with_capacity(self.seqs.len());
@@ -168,8 +169,6 @@ impl RequestPool {
             self.order.iter().filter_map(|id| self.seqs.get(id)).for_each(&mut visit);
         }
         ScheduleView {
-            waiting,
-            decodable,
             total_decode_seqs: total_decode,
             kv_free_rate,
             kv_free_tokens,
@@ -177,6 +176,7 @@ impl RequestPool {
             in_flight_seqs: in_flight,
             pipeline_depth,
             max_seqs_per_batch: self.max_seqs_per_batch,
+            ..ScheduleView::from_lists(waiting, decodable)
         }
     }
 
@@ -221,7 +221,7 @@ impl RequestPool {
         let mut apply = |id: u64, emitted: bool, seqs: &BTreeMap<u64, Sequence>| {
             if emitted {
                 let finished = seqs[&id].is_finished();
-                outcome.emitted.push(EmittedToken { seq: id, finished });
+                outcome.emitted.push(EmittedToken { seq: id, slot: SeqSlot::default(), finished });
                 if finished {
                     outcome.finished.push((id, SeqSlot::default()));
                 }

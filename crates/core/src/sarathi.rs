@@ -48,11 +48,10 @@ impl SchedulePolicy for SarathiServe {
         // slots mostly land in block slack; genuine exhaustion is handled
         // by admission (preemption), not by the policy.
         let decode_budget = view
-            .decodable
-            .len()
+            .decodable_seqs()
             .min(self.token_budget.get())
             .min(view.max_seqs_per_batch);
-        let decode = take_decodes(&view.decodable, decode_budget);
+        let decode = take_decodes(view.decodable(), decode_budget);
 
         // Step 2 (paper Fig. 5 ❷): maximise chunked prefill within the
         // remaining fixed budget, against the KV blocks left once decode
@@ -61,7 +60,7 @@ impl SchedulePolicy for SarathiServe {
         let kv_left = prefill_kv_after_decode(view.kv_free_tokens, &decode, view.block_size);
         let seq_budget = view.max_seqs_per_batch.saturating_sub(decode.len());
         let prefill = carve_prefill_chunks_block_aware(
-            &view.waiting,
+            view.waiting(),
             remaining,
             seq_budget,
             kv_left,
@@ -73,8 +72,7 @@ impl SchedulePolicy for SarathiServe {
 
     fn budget_caps(&self, view: &ScheduleView) -> Option<(Tokens, usize)> {
         let decode = view
-            .decodable
-            .len()
+            .decodable_seqs()
             .min(self.token_budget.get())
             .min(view.max_seqs_per_batch);
         Some((self.token_budget - Tokens(decode), decode))
@@ -91,20 +89,8 @@ mod tests {
     use crate::plan::SeqSlot;
     use crate::policy::{DecodableSeq, WaitingSeq};
 
-    fn view(waiting: &[(u64, usize)], decodable: usize, kv_free_tokens: usize) -> ScheduleView {
+    fn view(waiting: &[(u64, usize)], decodable: usize, kv_free_tokens: usize) -> ScheduleView<'static> {
         ScheduleView {
-            waiting: waiting
-                .iter()
-                .map(|&(seq, rem)| WaitingSeq {
-                    seq,
-                    slot: SeqSlot::default(),
-                    remaining_prefill: Tokens(rem),
-                    context_before: Tokens(0),
-                })
-                .collect(),
-            decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
-                .collect(),
             total_decode_seqs: decodable,
             kv_free_rate: 1.0,
             kv_free_tokens: Tokens(kv_free_tokens),
@@ -112,6 +98,20 @@ mod tests {
             in_flight_seqs: 0,
             pipeline_depth: 4,
             max_seqs_per_batch: 1024,
+            ..ScheduleView::from_lists(
+                waiting
+                    .iter()
+                    .map(|&(seq, rem)| WaitingSeq {
+                        seq,
+                        slot: SeqSlot::default(),
+                        remaining_prefill: Tokens(rem),
+                        context_before: Tokens(0),
+                    })
+                    .collect(),
+                (0..decodable)
+                    .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
+                    .collect(),
+            )
         }
     }
 

@@ -74,14 +74,14 @@ impl SchedulePolicy for TdPipe {
         // Hysteresis between the two dedicated phases.
         *phase = match *phase {
             TdPhase::Prefill
-                if view.waiting.is_empty()
+                if view.waiting_seqs() == 0
                     || view.total_decode_seqs >= self.decode_high_watermark =>
             {
                 TdPhase::Decode
             }
             TdPhase::Decode
                 if view.total_decode_seqs <= self.decode_low_watermark
-                    && !view.waiting.is_empty() =>
+                    && view.waiting_seqs() > 0 =>
             {
                 TdPhase::Prefill
             }
@@ -91,7 +91,7 @@ impl SchedulePolicy for TdPipe {
         match *phase {
             TdPhase::Prefill => {
                 let prefill = carve_prefill_chunks_block_aware(
-                    &view.waiting,
+                    view.waiting(),
                     self.prefill_batch_tokens,
                     view.max_seqs_per_batch,
                     view.kv_free_tokens,
@@ -102,7 +102,7 @@ impl SchedulePolicy for TdPipe {
                     // than idle (mirrors TD-Pipe's drain behaviour).
                     return BatchPlan {
                         prefill: Vec::new(),
-                        decode: take_decodes(&view.decodable, view.max_seqs_per_batch),
+                        decode: take_decodes(view.decodable(), view.max_seqs_per_batch),
                     };
                 }
                 BatchPlan { prefill, decode: Vec::new() }
@@ -115,13 +115,13 @@ impl SchedulePolicy for TdPipe {
                     .total_decode_seqs
                     .div_ceil(view.pipeline_depth.max(1))
                     .min(view.max_seqs_per_batch);
-                let decode = take_decodes(&view.decodable, budget);
-                if decode.is_empty() && !view.waiting.is_empty() && view.in_flight_seqs == 0 {
+                let decode = take_decodes(view.decodable(), budget);
+                if decode.is_empty() && view.waiting_seqs() > 0 && view.in_flight_seqs == 0 {
                     // Decode drained entirely while we held the phase:
                     // fall through to prefill immediately.
                     *phase = TdPhase::Prefill;
                     let prefill = carve_prefill_chunks_block_aware(
-                        &view.waiting,
+                        view.waiting(),
                         self.prefill_batch_tokens,
                         view.max_seqs_per_batch,
                         view.kv_free_tokens,
@@ -145,19 +145,8 @@ mod tests {
     use crate::plan::SeqSlot;
     use crate::policy::{DecodableSeq, WaitingSeq};
 
-    fn view(waiting: usize, decodable: usize, total_decode: usize) -> ScheduleView {
+    fn view(waiting: usize, decodable: usize, total_decode: usize) -> ScheduleView<'static> {
         ScheduleView {
-            waiting: (0..waiting)
-                .map(|i| WaitingSeq {
-                    seq: i as u64,
-                    slot: SeqSlot::default(),
-                    remaining_prefill: Tokens(500),
-                    context_before: Tokens(0),
-                })
-                .collect(),
-            decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 1000 + i as u64, slot: SeqSlot::default(), context_before: Tokens(128) })
-                .collect(),
             total_decode_seqs: total_decode,
             kv_free_rate: 1.0,
             kv_free_tokens: Tokens(usize::MAX >> 1),
@@ -165,6 +154,19 @@ mod tests {
             in_flight_seqs: 0,
             pipeline_depth: 4,
             max_seqs_per_batch: 1024,
+            ..ScheduleView::from_lists(
+                (0..waiting)
+                    .map(|i| WaitingSeq {
+                        seq: i as u64,
+                        slot: SeqSlot::default(),
+                        remaining_prefill: Tokens(500),
+                        context_before: Tokens(0),
+                    })
+                    .collect(),
+                (0..decodable)
+                    .map(|i| DecodableSeq { seq: 1000 + i as u64, slot: SeqSlot::default(), context_before: Tokens(128) })
+                    .collect(),
+            )
         }
     }
 

@@ -146,7 +146,7 @@ impl TokenThrottle {
 impl SchedulePolicy for TokenThrottle {
     fn plan(&self, view: &ScheduleView) -> BatchPlan {
         let decode_budget = self.decode_budget(view).min(view.max_seqs_per_batch);
-        let decode = take_decodes(&view.decodable, decode_budget);
+        let decode = take_decodes(view.decodable(), decode_budget);
 
         // A decode step at a block-aligned context claims a whole fresh KV
         // block; reserve those blocks before prefill carves into the
@@ -157,7 +157,7 @@ impl SchedulePolicy for TokenThrottle {
         let budget = self.prefill_budget(view);
         let prefill = match self.config.context_aware {
             Some(quad_ref) => crate::policy::carve_prefill_chunks_weighted(
-                &view.waiting,
+                view.waiting(),
                 budget.get() as f64,
                 seq_budget,
                 kv_left,
@@ -165,7 +165,7 @@ impl SchedulePolicy for TokenThrottle {
                 quad_ref,
             ),
             None => carve_prefill_chunks_block_aware(
-                &view.waiting,
+                view.waiting(),
                 budget,
                 seq_budget,
                 kv_left,
@@ -201,21 +201,8 @@ mod tests {
     use crate::policy::{DecodableSeq, WaitingSeq};
     use proptest::prelude::*;
 
-    fn view(wp: usize, decodable: usize, total_decode: usize, kv_free: f64) -> ScheduleView {
+    fn view(wp: usize, decodable: usize, total_decode: usize, kv_free: f64) -> ScheduleView<'static> {
         ScheduleView {
-            waiting: if wp > 0 {
-                vec![WaitingSeq {
-                    seq: 1,
-                    slot: SeqSlot::default(),
-                    remaining_prefill: Tokens(wp),
-                    context_before: Tokens(0),
-                }]
-            } else {
-                vec![]
-            },
-            decodable: (0..decodable)
-                .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
-                .collect(),
             total_decode_seqs: total_decode,
             kv_free_rate: kv_free,
             kv_free_tokens: Tokens(1_000_000),
@@ -223,6 +210,21 @@ mod tests {
             in_flight_seqs: 0,
             pipeline_depth: 4,
             max_seqs_per_batch: 1024,
+            ..ScheduleView::from_lists(
+                if wp > 0 {
+                    vec![WaitingSeq {
+                        seq: 1,
+                        slot: SeqSlot::default(),
+                        remaining_prefill: Tokens(wp),
+                        context_before: Tokens(0),
+                    }]
+                } else {
+                    vec![]
+                },
+                (0..decodable)
+                    .map(|i| DecodableSeq { seq: 100 + i as u64, slot: SeqSlot::default(), context_before: Tokens(64) })
+                    .collect(),
+            )
         }
     }
 

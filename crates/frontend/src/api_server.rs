@@ -29,6 +29,15 @@ use crate::openai::{
 };
 use crate::tokenizer::Tokenizer;
 
+/// How long a connection's handler waits for the next byte of its request
+/// before it answers 408 and hangs up: an idle client cannot hold a handler
+/// thread for longer.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a handler waits for a client to take the next bytes of its
+/// response before it gives the connection up.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Shared state between connection handlers and the dispatcher.
 struct Shared {
     submitter: Submitter,
@@ -64,6 +73,16 @@ impl ApiServer {
         cfg: RuntimeConfig,
         policy: Arc<dyn SchedulePolicy>,
         bind: &str,
+    ) -> std::io::Result<ApiServer> {
+        Self::start_with_read_timeout(cfg, policy, bind, READ_TIMEOUT)
+    }
+
+    /// [`ApiServer::start`] with a chosen read timeout per connection.
+    pub(crate) fn start_with_read_timeout(
+        cfg: RuntimeConfig,
+        policy: Arc<dyn SchedulePolicy>,
+        bind: &str,
+        read_timeout: Duration,
     ) -> std::io::Result<ApiServer> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
@@ -109,8 +128,18 @@ impl ApiServer {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    // A stream without its timeouts could pin its handler
+                    // for ever: drop it instead.
+                    if stream.set_read_timeout(Some(read_timeout)).is_err()
+                        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+                    {
+                        continue;
+                    }
                     let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || handle_connection(stream, &shared));
+                    // A handler the OS refuses to start drops its stream.
+                    let _ = std::thread::Builder::new()
+                        .name(handler_name(addr))
+                        .spawn(move || handle_connection(stream, &shared));
                 }
             })
         };
@@ -152,6 +181,11 @@ impl ApiServer {
 /// bytes Linux keeps of a thread name.
 fn dispatcher_name(addr: SocketAddr) -> String {
     format!("dispatch:{}", addr.port())
+}
+
+/// The name of every connection handler thread, as [`dispatcher_name`].
+fn handler_name(addr: SocketAddr) -> String {
+    format!("conn:{}", addr.port())
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
@@ -672,6 +706,47 @@ mod tests {
             .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
             .and_then(|v| v.trim().parse().ok())
             .expect("voluntary_ctxt_switches")
+    }
+
+    /// How many of this process's threads are named `name`, from procfs.
+    #[cfg(target_os = "linux")]
+    fn threads_named(name: &str) -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        tasks
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm")).is_ok_and(|c| c.trim_end() == name)
+            })
+            .count()
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn an_idle_connection_times_out_and_its_handler_exits() {
+        let server = ApiServer::start_with_read_timeout(
+            RuntimeConfig::tiny(2),
+            Arc::new(TokenThrottle::default()),
+            "127.0.0.1:0",
+            Duration::from_millis(200),
+        )
+        .expect("bind");
+        let addr = server.addr();
+        // Connect and send nothing: the handler answers 408 and hangs up.
+        let mut idle = TcpStream::connect(addr).expect("connect");
+        idle.set_read_timeout(Some(Duration::from_secs(30))).expect("client timeout");
+        let mut out = String::new();
+        idle.read_to_string(&mut out).expect("the server hangs up");
+        assert!(out.starts_with("HTTP/1.1 408"), "{out}");
+        // Its handler thread ends.
+        let name = handler_name(addr);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while threads_named(&name) > 0 {
+            assert!(std::time::Instant::now() < deadline, "the idle connection's handler still runs");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let health = roundtrip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        server.shutdown();
     }
 
     #[test]

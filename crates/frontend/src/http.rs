@@ -39,6 +39,8 @@ pub struct Request {
 pub enum ReadError {
     /// Malformed syntax, or the connection failed mid-request.
     Malformed(std::io::Error),
+    /// No byte arrived within the connection's read timeout.
+    Idle,
     /// `Content-Length` over [`MAX_BODY_BYTES`].
     BodyTooLarge,
     /// A line over [`MAX_LINE_BYTES`], or more than [`MAX_HEADERS`] headers.
@@ -50,6 +52,7 @@ impl ReadError {
     pub fn status(&self) -> u16 {
         match self {
             ReadError::Malformed(_) => 400,
+            ReadError::Idle => 408,
             ReadError::BodyTooLarge => 413,
             ReadError::HeadTooLarge => 431,
         }
@@ -60,6 +63,7 @@ impl fmt::Display for ReadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReadError::Malformed(e) => write!(f, "malformed HTTP: {e}"),
+            ReadError::Idle => write!(f, "no request bytes within the read timeout"),
             ReadError::BodyTooLarge => write!(f, "request body over {MAX_BODY_BYTES} bytes"),
             ReadError::HeadTooLarge => {
                 write!(f, "request head has a line over {MAX_LINE_BYTES} bytes or over {MAX_HEADERS} headers")
@@ -70,7 +74,12 @@ impl fmt::Display for ReadError {
 
 impl From<std::io::Error> for ReadError {
     fn from(e: std::io::Error) -> Self {
-        ReadError::Malformed(e)
+        // A socket read timeout surfaces as one of these two kinds,
+        // depending on the platform.
+        match e.kind() {
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadError::Idle,
+            _ => ReadError::Malformed(e),
+        }
     }
 }
 
@@ -151,6 +160,7 @@ pub fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",

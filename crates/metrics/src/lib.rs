@@ -35,7 +35,7 @@ pub mod step;
 pub mod trace;
 
 pub use audit::{AuditReport, AuditSnapshot, InvariantAuditor, Invariant, KvObservation, PlanCaps, Violation};
-pub use recorder::{MetricsRecorder, RequestTimeline};
+pub use recorder::{MetricsRecorder, RequestTimeline, TimelineHandle};
 pub use report::{ServingReport, SloSpec};
 pub use series::{BusyTracker, TokenTrace, TokenTracePoint};
 pub use step::{Proposal, Scheduled, SchedulerStep};

@@ -45,12 +45,23 @@ impl RequestTimeline {
     }
 }
 
+/// A request's place in its [`MetricsRecorder`], returned by
+/// [`MetricsRecorder::on_arrival`]: token, finish and preemption records
+/// reach the timeline through it without an id search. A handle is only
+/// meaningful to the recorder that returned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimelineHandle(u32);
+
 /// Collects [`RequestTimeline`]s as the serving system reports events.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRecorder {
-    // Ordered so every iteration (reduction, serialization) is
-    // deterministic without sorting at each call site (sim-determinism).
-    timelines: BTreeMap<u64, RequestTimeline>,
+    /// Every request's id and timeline, in arrival order (a handle is an
+    /// index).
+    timelines: Vec<(u64, RequestTimeline)>,
+    /// Id → index, read only at arrival and by the id-keyed queries.
+    /// Ordered so every iteration (reduction, serialization) is
+    /// deterministic without sorting at each call site (sim-determinism).
+    ids: BTreeMap<u64, u32>,
 }
 
 impl MetricsRecorder {
@@ -59,9 +70,18 @@ impl MetricsRecorder {
         Self::default()
     }
 
-    /// Record a request arrival. Must precede every other event for the id.
-    pub fn on_arrival(&mut self, id: u64, t: f64, prompt_len: usize) {
-        let prev = self.timelines.insert(
+    /// An empty recorder with room for `requests` timelines.
+    pub fn with_capacity(requests: usize) -> Self {
+        Self { timelines: Vec::with_capacity(requests), ids: BTreeMap::new() }
+    }
+
+    /// Record a request arrival and return the handle its later records
+    /// go through. Panics on an id this recorder has seen.
+    pub fn on_arrival(&mut self, id: u64, t: f64, prompt_len: usize) -> TimelineHandle {
+        let handle = u32::try_from(self.timelines.len()).expect("fewer than 2^32 requests");
+        let prev = self.ids.insert(id, handle);
+        assert!(prev.is_none(), "duplicate arrival for request {id}");
+        self.timelines.push((
             id,
             RequestTimeline {
                 arrival_s: t,
@@ -71,13 +91,13 @@ impl MetricsRecorder {
                 output_tokens: 0,
                 preemptions: 0,
             },
-        );
-        assert!(prev.is_none(), "duplicate arrival for request {id}");
+        ));
+        TimelineHandle(handle)
     }
 
     /// Record one output token at time `t` (the first call sets TTFT).
-    pub fn on_token(&mut self, id: u64, t: f64) {
-        let tl = self.timelines.get_mut(&id).expect("token before arrival");
+    pub fn on_token(&mut self, h: TimelineHandle, t: f64) {
+        let tl = self.get_mut(h);
         if tl.first_token_s.is_none() {
             tl.first_token_s = Some(t);
         }
@@ -85,50 +105,54 @@ impl MetricsRecorder {
     }
 
     /// Record request completion at time `t`.
-    pub fn on_finish(&mut self, id: u64, t: f64) {
-        let tl = self.timelines.get_mut(&id).expect("finish before arrival");
+    pub fn on_finish(&mut self, h: TimelineHandle, t: f64) {
+        let (id, tl) = &mut self.timelines[h.0 as usize];
         assert!(tl.finish_s.is_none(), "double finish for request {id}");
         tl.finish_s = Some(t);
     }
 
     /// Record a preemption (KV eviction forcing recomputation).
-    pub fn on_preemption(&mut self, id: u64) {
-        let tl = self.timelines.get_mut(&id).expect("preemption before arrival");
-        tl.preemptions += 1;
+    pub fn on_preemption(&mut self, h: TimelineHandle) {
+        self.get_mut(h).preemptions += 1;
     }
 
     /// Timeline of one request.
     pub fn timeline(&self, id: u64) -> Option<&RequestTimeline> {
-        self.timelines.get(&id)
+        self.ids.get(&id).map(|&i| &self.timelines[i as usize].1)
     }
 
     /// All timelines, sorted by request id (deterministic reduction order).
     pub fn timelines(&self) -> Vec<(u64, RequestTimeline)> {
-        self.timelines.iter().map(|(&k, &tl)| (k, tl)).collect()
+        self.ids.values().map(|&i| self.timelines[i as usize]).collect()
     }
 
     /// Number of requests that finished.
     pub fn finished_count(&self) -> usize {
-        self.timelines.values().filter(|t| t.finish_s.is_some()).count()
+        self.timelines.iter().filter(|(_, t)| t.finish_s.is_some()).count()
     }
 
     /// Number of requests observed.
     pub fn total_count(&self) -> usize {
         self.timelines.len()
     }
+
+    fn get_mut(&mut self, h: TimelineHandle) -> &mut RequestTimeline {
+        &mut self.timelines[h.0 as usize].1
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn recorded() -> MetricsRecorder {
         let mut r = MetricsRecorder::new();
-        r.on_arrival(1, 0.0, 100);
-        r.on_token(1, 0.5); // TTFT = 0.5
-        r.on_token(1, 0.7);
-        r.on_token(1, 0.9);
-        r.on_finish(1, 0.9); // 3 tokens, TPOT = 0.4/2 = 0.2
+        let h = r.on_arrival(1, 0.0, 100);
+        r.on_token(h, 0.5); // TTFT = 0.5
+        r.on_token(h, 0.7);
+        r.on_token(h, 0.9);
+        r.on_finish(h, 0.9); // 3 tokens, TPOT = 0.4/2 = 0.2
         r
     }
 
@@ -145,8 +169,8 @@ mod tests {
     #[test]
     fn unfinished_request_has_no_tpot_or_e2el() {
         let mut r = MetricsRecorder::new();
-        r.on_arrival(2, 1.0, 10);
-        r.on_token(2, 1.5);
+        let h = r.on_arrival(2, 1.0, 10);
+        r.on_token(h, 1.5);
         let tl = r.timeline(2).unwrap();
         assert_eq!(tl.ttft(), Some(0.5));
         assert_eq!(tl.tpot(), None);
@@ -158,9 +182,9 @@ mod tests {
     #[test]
     fn single_token_request_has_no_tpot() {
         let mut r = MetricsRecorder::new();
-        r.on_arrival(3, 0.0, 10);
-        r.on_token(3, 0.2);
-        r.on_finish(3, 0.2);
+        let h = r.on_arrival(3, 0.0, 10);
+        r.on_token(h, 0.2);
+        r.on_finish(h, 0.2);
         assert_eq!(r.timeline(3).unwrap().tpot(), None);
         assert_eq!(r.timeline(3).unwrap().e2el(), Some(0.2));
     }
@@ -168,9 +192,9 @@ mod tests {
     #[test]
     fn preemptions_are_counted() {
         let mut r = MetricsRecorder::new();
-        r.on_arrival(4, 0.0, 10);
-        r.on_preemption(4);
-        r.on_preemption(4);
+        let h = r.on_arrival(4, 0.0, 10);
+        r.on_preemption(h);
+        r.on_preemption(h);
         assert_eq!(r.timeline(4).unwrap().preemptions, 2);
     }
 
@@ -189,5 +213,75 @@ mod tests {
         r.on_arrival(2, 0.0, 1);
         let ids: Vec<u64> = r.timelines().iter().map(|(k, _)| *k).collect();
         assert_eq!(ids, vec![2, 9]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The handle recorder against an id-keyed `BTreeMap` reference:
+        /// arrivals with ids in any order, then tokens, preemptions and
+        /// finishes through the handles, leave equal timelines. Each event
+        /// is a kind, a pick among the arrived requests (or the id of an
+        /// arrival) and a time.
+        #[test]
+        fn handle_records_match_an_id_keyed_reference(
+            events in proptest::collection::vec((0u8..4, 0u64..1 << 16, 0u32..1000), 1..200)
+        ) {
+            let mut rec = MetricsRecorder::new();
+            let mut reference: BTreeMap<u64, RequestTimeline> = BTreeMap::new();
+            let mut arrived: Vec<(u64, TimelineHandle)> = Vec::new();
+            for (kind, pick, t) in events {
+                let t = f64::from(t) / 8.0;
+                if kind == 0 || arrived.is_empty() {
+                    // Ids arrive in any order; a seen id is not re-used.
+                    if reference.contains_key(&pick) {
+                        continue;
+                    }
+                    let h = rec.on_arrival(pick, t, (pick % 97) as usize + 1);
+                    reference.insert(pick, RequestTimeline {
+                        arrival_s: t,
+                        first_token_s: None,
+                        finish_s: None,
+                        prompt_len: (pick % 97) as usize + 1,
+                        output_tokens: 0,
+                        preemptions: 0,
+                    });
+                    arrived.push((pick, h));
+                    continue;
+                }
+                let (id, h) = arrived[pick as usize % arrived.len()];
+                // The reference finds the timeline by id.
+                let tl = reference.get_mut(&id).expect("arrived");
+                match kind {
+                    1 => {
+                        rec.on_token(h, t);
+                        tl.first_token_s.get_or_insert(t);
+                        tl.output_tokens += 1;
+                    }
+                    2 => {
+                        rec.on_preemption(h);
+                        tl.preemptions += 1;
+                    }
+                    _ => {
+                        if tl.finish_s.is_none() {
+                            rec.on_finish(h, t);
+                            tl.finish_s = Some(t);
+                        }
+                    }
+                }
+            }
+            let expected: Vec<(u64, RequestTimeline)> =
+                reference.iter().map(|(&id, &tl)| (id, tl)).collect();
+            prop_assert_eq!(rec.timelines(), expected);
+            for (&id, tl) in &reference {
+                prop_assert_eq!(rec.timeline(id), Some(tl));
+            }
+            prop_assert_eq!(rec.timeline(u64::MAX), None);
+            prop_assert_eq!(
+                rec.finished_count(),
+                reference.values().filter(|t| t.finish_s.is_some()).count()
+            );
+            prop_assert_eq!(rec.total_count(), reference.len());
+        }
     }
 }

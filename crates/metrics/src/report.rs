@@ -149,16 +149,16 @@ mod tests {
     fn simple_run() -> MetricsRecorder {
         let mut r = MetricsRecorder::new();
         // Request 0: TTFT 0.1, 3 tokens ending at 0.5 → TPOT 0.2, E2EL 0.5.
-        r.on_arrival(0, 0.0, 100);
-        r.on_token(0, 0.1);
-        r.on_token(0, 0.3);
-        r.on_token(0, 0.5);
-        r.on_finish(0, 0.5);
+        let h = r.on_arrival(0, 0.0, 100);
+        r.on_token(h, 0.1);
+        r.on_token(h, 0.3);
+        r.on_token(h, 0.5);
+        r.on_finish(h, 0.5);
         // Request 1: TTFT 0.4, 2 tokens ending at 1.0 → TPOT 0.5, E2EL 0.9.
-        r.on_arrival(1, 0.1, 50);
-        r.on_token(1, 0.5);
-        r.on_token(1, 1.0);
-        r.on_finish(1, 1.0);
+        let h = r.on_arrival(1, 0.1, 50);
+        r.on_token(h, 0.5);
+        r.on_token(h, 1.0);
+        r.on_finish(h, 1.0);
         r
     }
 
@@ -184,8 +184,8 @@ mod tests {
     #[test]
     fn unfinished_requests_excluded_from_latency_stats() {
         let mut r = simple_run();
-        r.on_arrival(2, 0.2, 10);
-        r.on_token(2, 5.0);
+        let h = r.on_arrival(2, 0.2, 10);
+        r.on_token(h, 5.0);
         let rep = ServingReport::from_recorder(&r);
         assert_eq!(rep.total_requests, 3);
         assert_eq!(rep.finished_requests, 2);
@@ -199,12 +199,12 @@ mod tests {
         // request arriving at t=0 stretched the makespan (and deflated
         // throughput) of work that really spanned 2.0 → 4.0.
         let mut r = MetricsRecorder::new();
-        r.on_arrival(0, 0.0, 10); // never finishes
-        r.on_token(0, 3.0);
-        r.on_arrival(1, 2.0, 40);
-        r.on_token(1, 3.5);
-        r.on_token(1, 4.0);
-        r.on_finish(1, 4.0);
+        let h = r.on_arrival(0, 0.0, 10); // never finishes
+        r.on_token(h, 3.0);
+        let h = r.on_arrival(1, 2.0, 40);
+        r.on_token(h, 3.5);
+        r.on_token(h, 4.0);
+        r.on_finish(h, 4.0);
         let rep = ServingReport::from_recorder(&r);
         assert!((rep.makespan_s - 2.0).abs() < 1e-12, "got {}", rep.makespan_s);
         // 40 input + 2 output tokens over the finished span only.

@@ -10,11 +10,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Display;
 
-use gllm_core::{admit, BatchOutcome, BatchPlan, RequestPool, SchedulePolicy, SeqSlot};
+use gllm_core::{admit, BatchOutcome, BatchPlan, RequestPool, SchedulePolicy, SeqSlot, Tokens};
 use gllm_kvcache::KvCacheManager;
 
 use crate::audit::{AuditReport, InvariantAuditor, KvObservation, PlanCaps};
-use crate::recorder::MetricsRecorder;
+use crate::recorder::{MetricsRecorder, TimelineHandle};
 use crate::trace::PipelineTrace;
 
 /// A policy's plan before admission, with what the auditor needs to judge
@@ -65,6 +65,8 @@ pub struct SchedulerStep {
     pub auditor: Option<InvariantAuditor>,
     /// The per-batch event log (drops events unless recording).
     pub trace: PipelineTrace,
+    /// Each live sequence's timeline handle, by pool slot.
+    handles: Vec<TimelineHandle>,
     /// The scheduler's `#PP_depth`: at most this many batches in flight.
     depth: usize,
     /// Committed plans by batch id, awaiting completion.
@@ -91,6 +93,7 @@ impl SchedulerStep {
             kv,
             auditor,
             trace: PipelineTrace::new(record_trace),
+            handles: Vec::new(),
             depth,
             in_flight: BTreeMap::new(),
             next_batch: 0,
@@ -107,12 +110,19 @@ impl SchedulerStep {
             .is_some_and(|t| t <= self.kv.token_capacity().get())
     }
 
-    /// A request arrives. An id that is already live is rejected unseen:
-    /// the auditor's record of it belongs to the live request. Empty
-    /// requests and ones that can never fit are rejected (the auditor sees
-    /// them arrive and abort); the rest join the pool. Returns whether the
-    /// request was admitted.
-    pub fn arrive(&mut self, id: u64, prompt_len: usize, max_new: usize) -> bool {
+    /// A request arrives, its timeline at `handle` in the recorder the
+    /// step's calls are given. An id that is already live is rejected
+    /// unseen: the auditor's record of it belongs to the live request.
+    /// Empty requests and ones that can never fit are rejected (the
+    /// auditor sees them arrive and abort); the rest join the pool.
+    /// Returns whether the request was admitted.
+    pub fn arrive(
+        &mut self,
+        id: u64,
+        prompt_len: usize,
+        max_new: usize,
+        handle: TimelineHandle,
+    ) -> bool {
         if self.pool.slot(id).is_some() {
             return false;
         }
@@ -125,8 +135,41 @@ impl SchedulerStep {
             }
             return false;
         }
-        self.pool.add(id, prompt_len, max_new);
+        let slot = self.pool.add(id, prompt_len, max_new);
+        self.track(slot, handle);
         true
+    }
+
+    /// Admit a sequence whose `context_len` tokens of prompt KV arrived
+    /// from elsewhere (the prefill side of a disaggregated deployment),
+    /// already past its first output token, if the cache has room for it:
+    /// it joins the pool decoding, and its KV lands in the slot the pool
+    /// gave it. Returns whether it was admitted.
+    pub fn admit_transferred(
+        &mut self,
+        id: u64,
+        context_len: usize,
+        max_output: usize,
+        handle: TimelineHandle,
+    ) -> bool {
+        let tokens = Tokens(context_len);
+        if tokens.to_blocks(self.kv.block_size()) > self.kv.free_blocks() {
+            return false;
+        }
+        let slot = self.pool.add_decoding(id, context_len, 1, max_output);
+        if self.kv.append(slot, id, tokens).is_err() {
+            self.pool.abort(id);
+            return false;
+        }
+        self.track(slot, handle);
+        true
+    }
+
+    /// The timeline handle of the sequence in `slot`: a live one, or one
+    /// that left the pool since the step last admitted a sequence (a
+    /// finished sequence's slot, read from its batch's outcome).
+    pub fn handle(&self, slot: SeqSlot) -> TimelineHandle {
+        self.handles[slot.get() as usize]
     }
 
     /// Whether `#PP_depth` batches are already in flight.
@@ -275,8 +318,17 @@ impl SchedulerStep {
         (self.trace, self.auditor.map(|a| a.into_report(drained)))
     }
 
+    /// Remember the timeline of the sequence just admitted to `slot`.
+    fn track(&mut self, slot: SeqSlot, handle: TimelineHandle) {
+        let i = slot.get() as usize;
+        if i >= self.handles.len() {
+            self.handles.resize(i + 1, handle);
+        }
+        self.handles[i] = handle;
+    }
+
     fn record_preemption(&mut self, rec: &mut MetricsRecorder, now: f64, victim: u64, slot: SeqSlot) {
-        rec.on_preemption(victim);
+        rec.on_preemption(self.handle(slot));
         self.preemptions += 1;
         self.trace.preempt(now, victim);
         if let Some(a) = self.auditor.as_mut() {
@@ -321,7 +373,7 @@ mod tests {
         fn plan(&self, view: &ScheduleView) -> BatchPlan {
             let mut free = view.kv_free_tokens;
             let mut prefill = Vec::new();
-            for w in &view.waiting {
+            for w in view.waiting() {
                 let tokens = w.remaining_prefill.min(Tokens(self.chunk)).min(free);
                 if tokens.is_zero() {
                     break;
@@ -335,7 +387,7 @@ mod tests {
                     completes_prompt: tokens == w.remaining_prefill,
                 });
             }
-            let decode = take_decodes(&view.decodable, view.decodable.len());
+            let decode = take_decodes(view.decodable(), view.decodable_seqs());
             BatchPlan { prefill, decode }
         }
 
@@ -362,8 +414,8 @@ mod tests {
         prompt: usize,
         max_new: usize,
     ) -> bool {
-        rec.on_arrival(id, 0.0, prompt);
-        step.arrive(id, prompt, max_new)
+        let handle = rec.on_arrival(id, 0.0, prompt);
+        step.arrive(id, prompt, max_new, handle)
     }
 
     fn schedule(
@@ -528,8 +580,9 @@ mod tests {
     #[test]
     fn a_live_id_is_refused_without_touching_the_live_request() {
         let (mut step, mut rec) = (step(8), MetricsRecorder::new());
-        assert!(arrive(&mut step, &mut rec, 1, 8, 2));
-        assert!(!step.arrive(1, 4, 1), "a live id is refused");
+        let handle = rec.on_arrival(1, 0.0, 8);
+        assert!(step.arrive(1, 8, 2, handle));
+        assert!(!step.arrive(1, 4, 1, handle), "a live id is refused");
         assert_eq!(step.pool.seq(1).map(|s| s.prompt_len), Some(8));
         let Scheduled::Batch { id, .. } = schedule(&mut step, &mut rec, &Greedy { chunk: 64 }) else {
             panic!("the live request must schedule");

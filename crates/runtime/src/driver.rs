@@ -328,11 +328,14 @@ impl Driver {
         // An id already seen is refused before anything records it: its
         // timeline (and, while live, its pool entry) belongs to the first
         // request under that id.
-        let seen = self.recorder.timeline(r.id).is_some();
-        if !seen {
-            self.recorder.on_arrival(r.id, now, r.prompt.len());
-        }
-        if seen || !self.step.arrive(r.id, r.prompt.len(), r.max_new) {
+        let admitted = match self.recorder.timeline(r.id) {
+            Some(_) => false,
+            None => {
+                let handle = self.recorder.on_arrival(r.id, now, r.prompt.len());
+                self.step.arrive(r.id, r.prompt.len(), r.max_new, handle)
+            }
+        };
+        if !admitted {
             let _ = self.stream_tx.send(vec![StreamEvent::Rejected { seq: r.id }]);
             return;
         }
@@ -351,9 +354,10 @@ impl Driver {
         let mut events = Vec::with_capacity(outcome.emitted.len());
         for e in &outcome.emitted {
             let Some(&token) = token_of.get(&e.seq) else { continue };
-            self.recorder.on_token(e.seq, now);
+            let handle = self.step.handle(e.slot);
+            self.recorder.on_token(handle, now);
             if e.finished {
-                self.recorder.on_finish(e.seq, now);
+                self.recorder.on_finish(handle, now);
                 self.seqs.remove(&e.seq);
                 self.kv_retries.remove(&e.seq);
             } else if let Some(info) = self.seqs.get_mut(&e.seq) {
@@ -539,8 +543,8 @@ impl Driver {
         }
         let reset = self.step.pool.preempt_all_live();
         let now = self.now();
-        for &seq in &reset {
-            self.recorder.on_preemption(seq);
+        for &(seq, slot) in &reset {
+            self.recorder.on_preemption(self.step.handle(slot));
             self.step.trace.preempt(now, seq);
         }
         if let Some(a) = self.step.auditor.as_mut() {

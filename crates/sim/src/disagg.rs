@@ -25,7 +25,7 @@ use gllm_core::sarathi::SarathiServe;
 use gllm_core::throttle::TokenThrottle;
 use gllm_core::{RequestPool, SchedulePolicy};
 use gllm_kvcache::{KvCacheManager, Tokens};
-use gllm_metrics::SchedulerStep;
+use gllm_metrics::{SchedulerStep, TimelineHandle};
 use gllm_model::{CostModel, PipelinePartition};
 use gllm_workload::Trace;
 
@@ -111,7 +111,7 @@ pub fn simulate_disaggregated(
         .map(|r| (r.id, (r.prompt_len, r.output_len)))
         .collect();
     let kv_bytes_per_token = model.kv_bytes_per_token();
-    let mut pending_admits: VecDeque<u64> = VecDeque::new();
+    let mut pending_admits: VecDeque<(u64, TimelineHandle)> = VecDeque::new();
     let mut aborted = 0usize;
 
     while let Some(ev) = sim.next_event() {
@@ -119,12 +119,12 @@ pub fn simulate_disaggregated(
         match ev {
             Event::Arrival { trace_index } => {
                 let r = &trace.requests[trace_index];
-                sim.recorder.on_arrival(r.id, t, r.prompt_len);
+                let handle = sim.recorder.on_arrival(r.id, t, r.prompt_len);
                 // The prefill side runs each request to its first token
                 // only; the decode side must hold its whole context.
                 let [prefill, decode] = &mut pipes;
                 if !decode.step.fits(r.prompt_len, r.output_len)
-                    || !prefill.step.arrive(r.id, r.prompt_len, 1)
+                    || !prefill.step.arrive(r.id, r.prompt_len, 1, handle)
                 {
                     aborted += 1;
                     continue;
@@ -141,13 +141,14 @@ pub fn simulate_disaggregated(
                     &mut sim,
                     batch,
                     stage,
-                    |sim, _, outcome| {
+                    |sim, step, outcome| {
                         debug_assert!(outcome.emitted.iter().all(|e| e.finished));
-                        for &(seq, _) in &outcome.finished {
+                        for &(seq, slot) in &outcome.finished {
                             let (prompt_len, _) = req_info[&seq];
                             let bytes = prompt_len as u64 * kv_bytes_per_token;
                             let dt = deployment.cluster.link.p2p_time(bytes);
-                            sim.events.push(t + dt, Event::TransferDone { seq });
+                            let handle = step.handle(slot);
+                            sim.events.push(t + dt, Event::TransferDone { seq, handle });
                         }
                     },
                 );
@@ -158,13 +159,13 @@ pub fn simulate_disaggregated(
                     batch,
                     stage,
                     |sim, step, outcome| {
-                        for &(seq, _) in &outcome.finished {
-                            sim.recorder.on_finish(seq, t);
+                        for &(_, slot) in &outcome.finished {
+                            sim.recorder.on_finish(step.handle(slot), t);
                         }
                         // Freed KV may unblock queued transfers.
-                        while let Some(&seq) = pending_admits.front() {
+                        while let Some(&(seq, handle)) = pending_admits.front() {
                             let (prompt_len, max_output) = req_info[&seq];
-                            if !admit_transferred(step, seq, prompt_len, max_output) {
+                            if !step.admit_transferred(seq, prompt_len, max_output, handle) {
                                 break;
                             }
                             pending_admits.pop_front();
@@ -172,20 +173,20 @@ pub fn simulate_disaggregated(
                     },
                 );
             }
-            Event::TransferDone { seq } => {
+            Event::TransferDone { seq, handle } => {
                 let (prompt_len, max_output) = req_info[&seq];
                 if max_output <= 1 {
                     // Single-token request: already complete at prefill.
-                    sim.recorder.on_finish(seq, t);
+                    sim.recorder.on_finish(handle, t);
                     continue;
                 }
                 let decode = &mut pipes[usize::from(DECODE)];
                 if pending_admits.is_empty()
-                    && admit_transferred(&mut decode.step, seq, prompt_len, max_output)
+                    && decode.step.admit_transferred(seq, prompt_len, max_output, handle)
                 {
                     decode.schedule(&mut sim);
                 } else {
-                    pending_admits.push_back(seq);
+                    pending_admits.push_back((seq, handle));
                 }
             }
         }
@@ -193,27 +194,6 @@ pub fn simulate_disaggregated(
 
     let stranded = pending_admits.len();
     sim.into_output(pipes.map(|p| p.step), aborted, stranded)
-}
-
-/// Admit a sequence whose prompt KV arrived from the prefill side, if the
-/// decode side has room for it: it joins the pool, and its KV lands in
-/// the slot the pool gave it.
-fn admit_transferred(
-    step: &mut SchedulerStep,
-    seq: u64,
-    prompt_len: usize,
-    max_output: usize,
-) -> bool {
-    let tokens = Tokens(prompt_len);
-    if tokens.to_blocks(step.kv.block_size()) > step.kv.free_blocks() {
-        return false;
-    }
-    let slot = step.pool.add_decoding(seq, prompt_len, 1, max_output);
-    if step.kv.append(slot, seq, tokens).is_err() {
-        step.pool.abort(seq);
-        return false;
-    }
-    true
 }
 
 #[cfg(test)]

@@ -242,11 +242,11 @@ impl<'a> SimEngine<'a> {
         match ev {
             Event::Arrival { trace_index } => {
                 let r = &self.trace.requests[trace_index];
-                sim.recorder.on_arrival(r.id, sim.clock, r.prompt_len);
+                let handle = sim.recorder.on_arrival(r.id, sim.clock, r.prompt_len);
                 // A request whose full context can never fit is rejected
                 // up front (a real engine would return an error to the
                 // client).
-                if !self.pipe.step.arrive(r.id, r.prompt_len, r.output_len) {
+                if !self.pipe.step.arrive(r.id, r.prompt_len, r.output_len, handle) {
                     self.aborted += 1;
                     return;
                 }
@@ -254,9 +254,9 @@ impl<'a> SimEngine<'a> {
             }
             Event::BatchReady { batch, stage, .. } => self.pipe.accept(sim, batch, stage),
             Event::StageDone { batch, stage, .. } => {
-                self.pipe.finish_stage(sim, batch, stage, |sim, _, outcome| {
-                    for &(id, _) in &outcome.finished {
-                        sim.recorder.on_finish(id, sim.clock);
+                self.pipe.finish_stage(sim, batch, stage, |sim, step, outcome| {
+                    for &(_, slot) in &outcome.finished {
+                        sim.recorder.on_finish(step.handle(slot), sim.clock);
                     }
                 });
             }
@@ -536,14 +536,14 @@ mod tests {
         fn plan(&self, view: &ScheduleView) -> BatchPlan {
             use gllm_core::plan::PrefillChunk;
             use gllm_core::policy::take_decodes;
-            let decode = take_decodes(&view.decodable, view.decodable.len());
+            let decode = take_decodes(view.decodable(), view.decodable_seqs());
             // Token-granular reservation: one token per decode slot, then
             // hand ALL remaining free tokens to prefill — ignores that each
             // decode at a block boundary claims a whole fresh block.
             let kv_left = view.kv_free_tokens.saturating_sub(Tokens(decode.len()));
             let prefill = view
-                .waiting
-                .first()
+                .waiting()
+                .next()
                 .map(|w| PrefillChunk {
                     seq: w.seq,
                     slot: w.slot,

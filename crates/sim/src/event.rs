@@ -7,6 +7,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use gllm_metrics::TimelineHandle;
+
 /// Events the serving simulation processes. Stage events name the
 /// pipeline they belong to: the unified engine runs pipeline 0, the
 /// disaggregated simulator a prefill (0) and a decode (1) pipeline.
@@ -41,6 +43,8 @@ pub enum Event {
     TransferDone {
         /// Request id.
         seq: u64,
+        /// The request's timeline.
+        handle: TimelineHandle,
     },
 }
 

@@ -35,10 +35,10 @@ pub(crate) struct Sim<'a> {
 impl<'a> Sim<'a> {
     /// A run of `trace` on `num_gpus` GPUs whose pipelines are up to
     /// `stages` deep, with every arrival queued. The hot buffers are
-    /// pre-sized: one arrival per request (plus a small in-flight margin),
-    /// and roughly one token-trace point / stage interval per output token
-    /// — a cheap lower bound that absorbs the early doubling
-    /// reallocations.
+    /// pre-sized: one arrival and one timeline per request (plus a small
+    /// in-flight margin), and roughly one token-trace point / stage
+    /// interval per output token — a cheap lower bound that absorbs the
+    /// early doubling reallocations.
     pub(crate) fn new(
         cfg: &'a EngineConfig,
         trace: &Trace,
@@ -60,7 +60,8 @@ impl<'a> Sim<'a> {
         } else {
             BusyTracker::new(num_gpus)
         };
-        Self { cfg, clock: 0.0, events, recorder: MetricsRecorder::new(), token_trace, busy }
+        let recorder = MetricsRecorder::with_capacity(n);
+        Self { cfg, clock: 0.0, events, recorder, token_trace, busy }
     }
 
     /// Pop the next event within the time limit and move the clock to it.
@@ -220,7 +221,7 @@ impl<'a> Pipeline<'a> {
             self.batches.remove(&batch);
             let outcome = self.step.complete(sim.clock, batch).expect("unknown batch completed");
             for e in &outcome.emitted {
-                sim.recorder.on_token(e.seq, sim.clock);
+                sim.recorder.on_token(self.step.handle(e.slot), sim.clock);
             }
             on_complete(sim, &mut self.step, outcome);
             self.schedule(sim);
